@@ -26,7 +26,7 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "runs": dict(type=int, default=5, help="runs per graph / seeds"),
         "graphs": dict(type=int, default=5, help="fresh graphs to draw"),
         "eps": dict(type=float, default=None, help="initial red seeding mass"),
-        "steps": dict(type=int, default=10**6, help="fixed-mode step budget"),
+        "steps": dict(type=int, default=10**6, help="fixed-mode stage-two steps"),
         "r0_offset": dict(type=int, default=2, choices=(1, 2),
                           help="radius back-off for the initial ball"),
         "stop_fraction": dict(type=float, default=0.5,
@@ -37,7 +37,7 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
                          choices=("rematch", "restart"),
                          help="simple-graph sampling strategy"),
         "mode": dict(type=str, default="adaptive",
-                     choices=("adaptive", "fixed"), help="integrator mode"),
+                     choices=("adaptive", "fixed"), help="stage-two integrator mode"),
         "snapshot_every": dict(type=int, default=0,
                                help="record class fractions every k steps"),
     }

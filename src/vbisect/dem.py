@@ -3,27 +3,29 @@
 The scaled class sizes of the simulation concentrate, as n grows, on the
 solution of two ODE systems, provided both start from the same scaled
 state. Stage one evolves red classes r_0..r_{d-1} and untouched-side
-classes z_0..z_d in rounds: integrate until a stopping event (a class
-about to go negative, or a point-count normalizer exhausted), then promote
-the hit whites z_0..z_{d-1} into the red block and start the next round.
-Stage one stops mid-round, at the moment the mass a promotion would make
-red (1 - z_d, less z_0 when fully paired whites stay white) reaches the
+classes z_0..z_d in rounds, each solved exactly (`ExactRound`) until the
+red unpaired points fall to DELTA_STOP; then the hit whites z_0..z_{d-1}
+are promoted into the red block and the next round starts. Stage one
+stops mid-round, at the moment the mass a promotion would make red
+(1 - z_d, less z_0 when fully paired whites stay white) reaches the
 target fraction; that state is promoted and all of its mass seeds stage
-two, which drains the low red classes until the balance event. The bound
-is the width of the balanced partition the simulation builds (the red set
-less class 1), read off in the fluid limit by a backward pass along the
-integrated path (see the readout section).
+two, which is integrated numerically and drains the low red classes
+until the balance event. The bound is the width of the balanced
+partition the simulation builds (the red set less class 1), read off in
+the fluid limit by a backward pass along the path (see the readout
+section).
 
 Both right-hand sides are conservative: component sums vanish identically.
-The transitions (promotions, the hand-off and the negativity clamp) only
-move mass between classes; `run_dem` raises if one changes the total by
-more than CLAMP_TOL.
+The transitions (promotions, the hand-off and the stage-two negativity
+clamp) only move mass between classes; `run_dem` raises if one changes
+the total by more than CLAMP_TOL.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -31,8 +33,8 @@ from .integrate import Event, IntResult, solve_adaptive, solve_fixed
 
 DELTA_STOP = 1e-9  # point-count guard, in fractions of n
 EPS_NEG = 1e-12  # negativity tolerance
-CLAMP_TOL = 1e-9  # promotion clamps entries in (-CLAMP_TOL, 0); covers the
-#                   slack the event bisection leaves past -EPS_NEG
+CLAMP_TOL = 1e-9  # the stage-two clamp zeroes entries in (-CLAMP_TOL, 0);
+#                   covers the slack the event bisection leaves past -EPS_NEG
 EPS_DEFAULT = 1e-5
 EPS_DEFAULT_D9 = 1e-4  # d = 9 needs a larger seed to start cleanly
 FIXED_LEG_SHARE = 32  # fixed mode: each leg's grid gets steps/FIXED_LEG_SHARE
@@ -112,17 +114,6 @@ class DemRunResult:
         return len(self.round_end_states)
 
 
-# -- state packing ---------------------------------------------------------
-
-
-def _pack1(s: DemState) -> np.ndarray:
-    return np.concatenate([s.r, s.z])
-
-
-def _unpack1(d: int, y: np.ndarray) -> DemState:
-    return DemState(d, y[:d].copy(), y[d:].copy())
-
-
 # -- right-hand sides ------------------------------------------------------
 
 
@@ -134,6 +125,8 @@ def rhs_phase1(d: int):
     points (rate 1/points_all per point), so every class flows one step
     down at the combined per-point rate. Written as a telescoping
     difference, which makes the component sum vanish identically.
+    `run_dem` never integrates it: `ExactRound` is its exact solution,
+    and the tests compare the two.
     """
     i_r = np.arange(d + 1, dtype=float)  # virtual r_d = 0
     i_z = np.arange(d + 2, dtype=float)  # virtual z_{d+1} = 0
@@ -154,44 +147,113 @@ def rhs_phase1(d: int):
     return f
 
 
+def _rhs_stage2(d: int, kind: str):
+    """Stage-two derivative of [r_0..r_d] with the first-point pool of
+    `_leg_layout(d, kind)`; see `rhs_phase2`."""
+    pts, _, first = _leg_layout(d, kind)
+
+    def f(t: float, y: np.ndarray) -> np.ndarray:
+        w = pts * y
+        wf = w * first
+        out = w / w.sum() + (wf / wf.sum() if wf.any() else 0.0)
+        return np.diff(np.append(out, 0.0))  # virtual r_{d+1} = 0
+
+    return f
+
+
 def rhs_phase2(d: int):
     """Stage-two derivative of [r_0..r_d].
 
-    Second-point flow: every class down one step at rate 1/points_red per
-    point (class d included, loss-only). First-point flow: only the low
-    classes 1..ceil(d/2) are drawn, so mass moves down within that range
-    at rate 1/low_points per point; the top low class gets no gain term,
-    which is the only form whose components sum to zero.
+    Second-point flow: every class down one step at rate 1/points_all per
+    point (class d, the untouched pool, included, loss-only). First-point
+    flow: only the low classes 1..ceil(d/2) are drawn, so mass moves down
+    within that range at rate 1/low_points per point; the top low class
+    gets no gain term, which is the only form whose components sum to
+    zero.
     """
-    m = (d + 1) // 2
-    idx = np.arange(d + 1, dtype=float)
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        w = idx * y
-        wext = np.append(w, 0.0)  # virtual r_{d+1} = 0
-        p_red = w[1:].sum()
-        sec = np.diff(wext) / p_red
-        wl = np.append(w, 0.0)
-        wl[m + 1 :] = 0.0
-        fir = np.diff(wl) / wl.sum() if wl.any() else np.zeros(d + 1)
-        return sec + fir
-
-    return f
+    return _rhs_stage2(d, "two")
 
 
 def rhs_phase2_fallback(d: int):
-    """Stage-two derivative once the low classes are exhausted: both
-    endpoints drawn uniformly from all red unpaired points, so each class
-    loses mass downward at twice the single-draw rate."""
-    idx = np.arange(d + 1, dtype=float)
+    """Stage-two derivative once the low classes are exhausted: as
+    `rhs_phase2`, but first points are drawn from every red class
+    1..d-1, as the simulation's fallback draws them from all red unpaired
+    points (never from the untouched pool)."""
+    return _rhs_stage2(d, "fallback")
 
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        w = idx * y
-        wext = np.append(w, 0.0)
-        p_red = w.sum()
-        return 2.0 * np.diff(wext) / p_red
 
-    return f
+# -- the exact stage-one round ---------------------------------------------
+
+
+def _thin(x: np.ndarray, lose: float, binom: np.ndarray) -> np.ndarray:
+    """Class sizes after each point is lost with probability lose; binom
+    holds C(j, i) at [i, j]."""
+    lose = min(max(lose, 0.0), 1.0)
+    n = x.size
+    j = np.arange(n)
+    i = j[:, None]
+    return (binom[:n, :n] * (1.0 - lose) ** i * lose ** np.maximum(j - i, 0)) @ x
+
+
+class ExactRound:
+    """Exact solution of `rhs_phase1` over one stage-one round from s0.
+
+    With A = points_all and p0 = points_red at the start, points_all falls
+    at rate 2, each red point is paired at rate 1/p_red + 1/p_all and each
+    white point at rate 1/p_all, so p_red = s (c + s) with s = sqrt(A - 2t)
+    and c = p0/sqrt(A) - sqrt(A). A vertex's points are paired
+    independently, so each class block thins binomially: a white point is
+    lost with probability u = 1 - s/sqrt(A), a red one with 1 - p_red/p0
+    = u (1 + A (1 - u) / p0). The map is parametrised by u; t = A u (2-u)/2.
+    """
+
+    def __init__(self, s0: DemState):
+        self.s0, self.A, self.p0 = s0, s0.points_all, s0.points_red
+        # p_red = DELTA_STOP at the smaller root of
+        # A u^2 - (A + p0) u + p0 - DELTA_STOP, in cancellation-free form
+        root = math.sqrt((self.A - self.p0) ** 2 + 4.0 * self.A * DELTA_STOP)
+        self.u_end = max(2.0 * (self.p0 - DELTA_STOP) / (self.A + self.p0 + root), 0.0)
+        j = range(s0.d + 1)
+        self._binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)
+
+    def t_at(self, u: float) -> float:
+        return 0.5 * self.A * u * (2.0 - u)
+
+    def u_at(self, t: float) -> float:
+        return 2.0 * t / (self.A + math.sqrt(self.A * max(self.A - 2.0 * t, 0.0)))
+
+    def state(self, u: float) -> DemState:
+        red_lose = u * (1.0 + self.A * (1.0 - u) / self.p0) if u > 0.0 else 0.0
+        s0, binom = self.s0, self._binom
+        return DemState(s0.d, _thin(s0.r, red_lose, binom), _thin(s0.z, u, binom))
+
+    def vector(self, t: float) -> np.ndarray:
+        """[r, z] at time t into the round."""
+        s = self.state(self.u_at(t))
+        return np.concatenate([s.r, s.z])
+
+    def stop_u(self, frac: float, promote_fully_paired: bool) -> float | None:
+        """The first u at which a promotion would make a red mass of at
+        least frac, or None if the round ends first.
+
+        That mass is the total less the untouched pool, z_d (1-u)^d, and
+        (when they stay white) the fully paired whites, z_0 + z_d u^d, the
+        only whites a round starts with. It rises with u up to u = 1/2,
+        where it is at least 1 - 2^-d if every hit white is promoted and at
+        its maximum otherwise, so with frac <= 1/2 bisection on
+        [0, min(u_end, 1/2)] finds the first crossing.
+        """
+
+        def short(u: float) -> bool:
+            return rollover(self.state(u), promote_fully_paired).red_mass < frac
+
+        lo, hi = 0.0, min(self.u_end, 0.5)
+        if short(hi):
+            return None
+        while lo < 0.5 * (lo + hi) < hi:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if short(mid) else (lo, mid)
+        return hi
 
 
 # -- construction and round transitions ------------------------------------
@@ -212,8 +274,7 @@ def init_state(d: int, eps: float) -> DemState:
 
 def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
     """End-of-round promotion: z_0..z_{d-1} accumulate into r_0..r_{d-1}
-    (optionally leaving z_0 in place), the untouched pool stays, and
-    entries the integrator left just below zero are clamped to 0."""
+    (optionally leaving z_0 in place) and the untouched pool stays."""
     d = s.d
     r = s.r.copy()
     z = np.zeros(d + 1)
@@ -222,8 +283,6 @@ def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
     if not promote_fully_paired:
         z[0] = s.z[0]
     z[d] = s.z[d]
-    for arr in (r, z):
-        np.copyto(arr, 0.0, where=(arr < 0.0) & (arr > -CLAMP_TOL))
     return DemState(d, r, z)
 
 
@@ -269,19 +328,19 @@ def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
 
 READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
-READOUT_LEG_POINTS = 256  # fixed mode: path samples kept per leg
+READOUT_LEG_POINTS = 256  # path samples per fixed-grid leg and per trajectory leg
 
 
 @dataclass
 class Leg:
-    """One integration leg as the readout needs it. kind names the
-    right-hand side it ran: "one" (`rhs_phase1`), "two" (`rhs_phase2`) or
-    "fallback" (`rhs_phase2_fallback`); t and y sample the path (see
-    `run_dem`)."""
+    """One leg of a run as the readout needs it. kind names the right-hand
+    side it follows: "one" (`rhs_phase1`, a stage-one round), "two"
+    (`rhs_phase2`) or "fallback" (`rhs_phase2_fallback`); at maps a time
+    in [0, span] to the state vector there (see `run_dem`)."""
 
     kind: str
-    t: np.ndarray
-    y: np.ndarray
+    span: float
+    at: Callable[[float], np.ndarray]
 
 
 def _leg_layout(d: int, kind: str):
@@ -294,9 +353,10 @@ def _leg_layout(d: int, kind: str):
         return pts, down, first
     pts = np.arange(d + 1, dtype=float)  # [r_0..r_d], r_d untouched
     down = np.concatenate([[0], np.arange(d)])
+    # first points: the low red classes 1..ceil(d/2), or every red class
+    # once those are exhausted; never the untouched pool
     first = np.ones(d + 1)
-    if kind == "two":
-        first[(d + 1) // 2 + 1 :] = 0.0
+    first[((d + 1) // 2 if kind == "two" else d - 1) + 1 :] = 0.0
     return pts, down, first
 
 
@@ -325,13 +385,11 @@ def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
     solver status too."""
     pts, down, first = _leg_layout(d, leg.kind)
     size = pts.size
-    y_at = _path_interpolant(leg.t, leg.y)
-    t_end = float(leg.t[-1])
 
-    def f(s: float, x: np.ndarray) -> np.ndarray:  # s runs backward from t_end
-        # the interpolant may dip below 0 where a pool runs dry; the guard
-        # events end a leg before a pool falls under DELTA_STOP
-        w = pts * np.maximum(y_at(t_end - s), 0.0)
+    def f(s: float, x: np.ndarray) -> np.ndarray:  # s runs backward from span
+        # a stage-two interpolant may dip below 0 where a pool runs dry;
+        # the guard events end a leg before a pool falls under DELTA_STOP
+        w = pts * np.maximum(leg.at(leg.span - s), 0.0)
         p_all = max(float(w.sum()), DELTA_STOP)
         p_first = max(float(w @ first), DELTA_STOP)
         h, k = x[:size], x[size:]
@@ -344,9 +402,7 @@ def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
         dk = a * (h1 * k_dn - k) + b * (h2 * k_dn - k)
         return np.concatenate([dh, dk])
 
-    out = solve_adaptive(
-        f, 0.0, x, t_end - float(leg.t[0]), (), rtol=READOUT_RTOL, atol=READOUT_ATOL
-    )
+    out = solve_adaptive(f, 0.0, x, leg.span, (), rtol=READOUT_RTOL, atol=READOUT_ATOL)
     return out.y, out.status
 
 
@@ -427,33 +483,6 @@ def _ev_guard(weights: np.ndarray, name: str) -> Event:
     return Event(lambda t, y: float(w @ y) - DELTA_STOP, direction=-1, name=name)
 
 
-def _guard_events_phase1(d: int) -> list[Event]:
-    w_red = np.concatenate([np.arange(d, dtype=float), np.zeros(d + 1)])
-    w_all = np.concatenate(
-        [np.arange(d, dtype=float), np.arange(d + 1, dtype=float)]
-    )
-    return [
-        _ev_guard(w_red, "guard_red_points"),
-        _ev_guard(w_all, "guard_total_points"),
-    ]
-
-
-def _ev_stop(d: int, frac: float, promote_fully_paired: bool) -> Event:
-    """Stage one: the mass a promotion would make red rising through frac.
-
-    Sums the stage-one vector [r, z] the way `rollover` does, so that a
-    state at which this fires promotes to a red mass of at least frac.
-    """
-    keep = np.ones(d)
-    if not promote_fully_paired:
-        keep[0] = 0.0
-
-    def g(t: float, y: np.ndarray) -> float:
-        return float((y[:d] + keep * y[d : 2 * d]).sum()) - frac
-
-    return Event(g, direction=1, name="stop_fraction")
-
-
 def _ev_balance(d: int, frac: float) -> Event:
     def g(t: float, y: np.ndarray) -> float:
         return float(y[:d].sum()) - float(y[1]) - frac
@@ -476,32 +505,28 @@ def integrate_phase(
     atol: float = 1e-12,
     keep_every: int = 0,
 ) -> tuple[DemState, str | None, IntResult]:
-    """One integration leg from s0 to its earliest event.
+    """One stage-two integration leg from s0 to its earliest event.
 
     Returns (end state, fired event name or None, raw solver result). The
-    caller supplies events appropriate to the stage; this function only
-    converts between DemState and the flat vector (stage two integrates r
-    and carries z unchanged)."""
+    caller supplies the events; this function integrates r and carries z
+    unchanged. Stage one is never integrated (see `ExactRound`)."""
     if not events:
         raise ValueError("events must be nonempty")
-    stage_one = s0.r.size == s0.d
-    y0 = _pack1(s0) if stage_one else s0.r
+    if s0.r.size != s0.d + 1:
+        raise ValueError("integrate_phase takes stage-two states only")
     if mode == "adaptive":
         res = solve_adaptive(
-            rhs, 0.0, y0, t_max, events, rtol=rtol, atol=atol, keep_every=keep_every
+            rhs, 0.0, s0.r, t_max, events, rtol=rtol, atol=atol, keep_every=keep_every
         )
     elif mode == "fixed":
         if h_fixed is None:
             raise ValueError("fixed mode needs h_fixed")
-        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events, keep_every=keep_every)
+        res = solve_fixed(rhs, 0.0, s0.r, t_max, h_fixed, events, keep_every=keep_every)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not np.all(np.isfinite(res.y)):
         raise FloatingPointError(f"non-finite state at t={res.t}: {res.y}")
-    if stage_one:
-        end = _unpack1(s0.d, res.y)
-    else:
-        end = DemState(s0.d, res.y.copy(), None if s0.z is None else s0.z.copy())
+    end = DemState(s0.d, res.y.copy(), None if s0.z is None else s0.z.copy())
     return end, res.event, res
 
 
@@ -511,16 +536,14 @@ def _check_mass(before: DemState, after: DemState, what: str) -> None:
         raise RuntimeError(f"{what} changed the total mass by {gap:.3e}")
 
 
-def _fixed_leg_grid(leg_steps: int, p_red: float, drain_rate: float):
-    """Uniform RK4 grid for one leg of the fixed mode.
+def _fixed_leg_grid(leg_steps: int, p_all: float):
+    """Uniform RK4 grid for one stage-two leg of the fixed mode.
 
-    The red unpaired pool loses at least drain_rate points per unit time
-    (exactly 1 + p_red/p_all in stage one, exactly 2 in stage two), so
-    every stopping event lands strictly before p_red/drain_rate; a 1/16
-    margin keeps the crossing interior to the grid. Early rounds last
-    only O(eps), which is why a whole-run step size cannot work here.
+    Every exposure removes two unpaired points, so all of them are gone
+    by p_all/2 and every stopping event lands before it; a 1/16 margin
+    keeps the crossing interior to the grid.
     """
-    t_cap = min(MAX_LEG_TIME, (17.0 / 16.0) * max(p_red, DELTA_STOP) / drain_rate)
+    t_cap = min(MAX_LEG_TIME, (17.0 / 16.0) * max(p_all, DELTA_STOP) / 2.0)
     return t_cap / leg_steps, t_cap
 
 
@@ -537,17 +560,19 @@ def run_dem(
     """Full two-stage run for one degree; returns the bound and the full
     phase history.
 
-    mode "adaptive" uses the embedded 5(4) pair at tight tolerance; mode
-    "fixed" uses classical RK4 on uniform per-leg grids, each leg taking
-    an equal share of the whole-run step budget over a span sized from
-    the red-pool drain bound. Stage one ends mid-round at the
-    stop_fraction event; that state is handoff_state, and phase2_init
-    promotes it into the seed of stage two. alpha_upper is the boundary
-    of the balanced half over stop_fraction, 1 - interior_mass /
-    stop_fraction, from the paths of all legs. Runs whose stage two cannot
-    reach balance (exhausted point pools) read off at the stopped state
-    and carry explanatory flags. Raises RuntimeError if a promotion or the
-    hand-off changes the total mass by more than CLAMP_TOL.
+    Stage one is solved exactly, round by round (`ExactRound`), in both
+    modes; it ends mid-round where a promotion would first make a red mass
+    of stop_fraction. That state is handoff_state, and phase2_init
+    promotes it into the seed of stage two. mode and steps act on stage
+    two only: mode "adaptive" uses the embedded 5(4) pair at tight
+    tolerance; mode "fixed" uses classical RK4 on uniform per-leg grids,
+    each leg taking an equal share of the step budget over a span sized
+    from the point-pool drain. alpha_upper is the boundary of the balanced
+    half over stop_fraction, 1 - interior_mass / stop_fraction, from the
+    paths of all legs. Runs whose stage two cannot reach balance
+    (exhausted point pools) read off at the stopped state and carry
+    explanatory flags. Raises RuntimeError if a promotion or the hand-off
+    changes the total mass by more than CLAMP_TOL.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -558,71 +583,49 @@ def run_dem(
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)
     h_fixed: float | None = None
     t_cap = MAX_LEG_TIME
-    # path samples for the readout and the trajectory: every accepted step
-    # of the adaptive solver, about READOUT_LEG_POINTS per leg of the fixed
-    # grid (128 per leg already moves the readout by less than 1e-7)
+    # stage-two path samples for the readout: every accepted step of the
+    # adaptive solver, about READOUT_LEG_POINTS per leg of the fixed grid
+    # (128 per leg already moves the readout by less than 1e-7)
     sample = 1 if mode == "adaptive" else max(1, leg_steps // READOUT_LEG_POINTS)
 
     res = DemRunResult(
         d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
     )
-    legs: list[Leg] = []
-
-    def record(kind: str, raw: IntResult) -> None:
-        """Keep a leg's sampled path for the readout and the trajectory."""
-        ts, ys = zip(*raw.path)
-        legs.append(Leg(kind, np.array(ts), np.array(ys)))
-        if keep_trajectory:
-            phase_idx = len(res.round_end_states) + len(res.stage2_states)
-            res.trajectory.extend((phase_idx, t, y) for t, y in raw.path)
-
+    legs: list[Leg] = []  # one per round, then one per stage-two leg
     state = init_state(d, eps)
-    f1 = rhs_phase1(d)
-    ev1 = [_ev_negativity()] + _guard_events_phase1(d)
-    ev1.append(_ev_stop(d, stop_fraction, promote_fully_paired))
-
-    handoff = None
     while True:
-        if mode == "fixed":
-            h_fixed, t_cap = _fixed_leg_grid(leg_steps, state.points_red, 1.0)
-        end, fired, raw = integrate_phase(
-            f1, state, ev1, mode=mode, h_fixed=h_fixed, t_max=t_cap, keep_every=sample
-        )
-        res.n_steps += raw.n_steps
-        res.n_rejected += raw.n_rejected
-        record("one", raw)
-        if fired is None:
-            res.flags.append(f"round_{len(res.round_end_states)}_{raw.status}")
+        rnd = ExactRound(state)
+        u = rnd.stop_u(stop_fraction, promote_fully_paired)
+        u = rnd.u_end if u is None else u
+        end = rnd.state(u)
+        legs.append(Leg("one", rnd.t_at(u), rnd.vector))
         res.round_end_states.append(end)
         rolled = rollover(end, promote_fully_paired)
         _check_mass(end, rolled, f"promotion {len(res.round_end_states)}")
         res.post_roll_states.append(rolled)
         if rolled.red_mass >= stop_fraction:
-            handoff = end
             break
         state = rolled
         if len(res.round_end_states) >= MAX_ROUNDS:
             res.flags.append("round_cap")
-            handoff = end
             break
 
-    res.handoff_state = handoff.copy()
-    state = phase2_init(handoff, promote_fully_paired)
-    _check_mass(handoff, state, "hand-off")
+    res.handoff_state = end.copy()
+    state = phase2_init(end, promote_fully_paired)
+    _check_mass(end, state, "hand-off")
     f2 = rhs_phase2(d)
     f2_fb = rhs_phase2_fallback(d)
-    m = (d + 1) // 2
-    w_low = np.zeros(d + 1)
-    w_low[1 : m + 1] = np.arange(1, m + 1, dtype=float)
-    w_red_all = np.arange(d + 1, dtype=float)
+    # point weights of the first-point pools: the low classes, all red ones
+    pts, _, first = _leg_layout(d, "two")
+    w_low, w_red = pts * first, pts * _leg_layout(d, "fallback")[2]
 
     balance = _ev_balance(d, stop_fraction)
+    guard_red = _ev_guard(w_red, "guard_red_points")
     done = False
     in_fallback = False
     for _ in range(MAX_STAGE2_LEGS):
         # entry checks: events cannot fire on a pool that is already dead
-        p_red_entry = float(w_red_all @ state.r)
-        if p_red_entry <= DELTA_STOP:
+        if float(w_red @ state.r) <= DELTA_STOP:
             res.flags.append("red_exhausted")
             break
         bal0 = state.red_mass - float(state.r[1]) - stop_fraction
@@ -636,13 +639,12 @@ def run_dem(
             if "l_exhausted" not in res.flags:
                 res.flags.append("l_exhausted")
             rhs = f2_fb
-            guards = [_ev_guard(w_red_all, "guard_red_points")]
+            guards = [guard_red]
         else:
             rhs = f2
-            guards = [_ev_guard(w_low, "guard_low_points"),
-                      _ev_guard(w_red_all, "guard_red_points")]
+            guards = [_ev_guard(w_low, "guard_low_points"), guard_red]
         if mode == "fixed":
-            h_fixed, t_cap = _fixed_leg_grid(leg_steps, p_red_entry, 2.0)
+            h_fixed, t_cap = _fixed_leg_grid(leg_steps, state.points_all)
         end, fired, raw = integrate_phase(
             rhs,
             state,
@@ -654,7 +656,9 @@ def run_dem(
         )
         res.n_steps += raw.n_steps
         res.n_rejected += raw.n_rejected
-        record("fallback" if in_fallback else "two", raw)
+        ts, ys = map(np.array, zip(*raw.path))
+        kind = "fallback" if in_fallback else "two"
+        legs.append(Leg(kind, float(ts[-1]), _path_interpolant(ts, ys)))
         res.stage2_states.append(end)
         state = end
         if fired == "balance":
@@ -684,6 +688,12 @@ def run_dem(
         res.flags.append("no_balance")
 
     res.final_state = state.copy()
+    if keep_trajectory:
+        res.trajectory = [
+            (i, t, leg.at(t))
+            for i, leg in enumerate(legs)
+            for t in np.linspace(0.0, leg.span, READOUT_LEG_POINTS)
+        ]
     interior, readout_flags = interior_mass(d, eps, legs, promote_fully_paired)
     res.flags += readout_flags
     res.alpha_upper = 1.0 - interior / stop_fraction

@@ -13,7 +13,7 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import astuple, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,19 +23,6 @@ from . import reference
 from .graph import RegularGraph, ball_sizes, gen_regular
 from .greedy import GreedyConfig, run_alg1
 from .pairing import run_alg2, run_alg3
-
-RECORD_FIELDS = [
-    "method",
-    "d",
-    "n",
-    "seed",
-    "r0_offset",
-    "eps",
-    "alpha",
-    "width",
-    "wall_time_ms",
-    "flags",
-]
 
 
 @dataclass
@@ -50,6 +37,13 @@ class RunRecord:
     width: int
     wall_time_ms: float
     flags: str = ""
+    stop_fraction: float = 0.5
+
+
+# CSV columns in file order; floats are written with repr, so they read
+# back exactly
+RECORD_FIELDS = [f.name for f in fields(RunRecord)]
+_PARSE = {"int": int, "float": float, "str": str}
 
 
 def _child_seed(base: int, *key: int) -> int:
@@ -74,51 +68,29 @@ def records_to_csv(records, path, append: bool = True) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     new_file = not (append and path.exists() and path.stat().st_size > 0)
+    if not new_file:
+        with open(path, newline="") as fh:
+            header = next(csv.reader(fh), None)
+        if header != RECORD_FIELDS:
+            raise ValueError(f"cannot append to {path}: columns {header}")
     mode = "a" if append else "w"
     with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
         if new_file or not append:
             writer.writerow(RECORD_FIELDS)
         for rec in records:
-            row = asdict(rec)
             writer.writerow(
-                [
-                    row["method"],
-                    row["d"],
-                    row["n"],
-                    row["seed"],
-                    row["r0_offset"],
-                    repr(row["eps"]),
-                    repr(row["alpha"]),
-                    row["width"],
-                    repr(row["wall_time_ms"]),
-                    row["flags"],
-                ]
+                [repr(v) if isinstance(v, float) else v for v in astuple(rec)]
             )
 
 
 def records_from_csv(path) -> list[RunRecord]:
-    out = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RECORD_FIELDS:
             raise ValueError(f"unexpected columns in {path}: {reader.fieldnames}")
-        for row in reader:
-            out.append(
-                RunRecord(
-                    method=row["method"],
-                    d=int(row["d"]),
-                    n=int(row["n"]),
-                    seed=row["seed"],
-                    r0_offset=int(row["r0_offset"]),
-                    eps=float(row["eps"]),
-                    alpha=float(row["alpha"]),
-                    width=int(row["width"]),
-                    wall_time_ms=float(row["wall_time_ms"]),
-                    flags=row["flags"],
-                )
-            )
-    return out
+        cols = [(f.name, _PARSE[f.type]) for f in fields(RunRecord)]
+        return [RunRecord(**{k: parse(row[k]) for k, parse in cols}) for row in reader]
 
 
 def write_manifest(out_dir, command: str, config: dict) -> Path:
@@ -162,6 +134,7 @@ def _alg1_job(g: RegularGraph, base: int, gi: int, ri: int, r0_offset: int,
         width=bis.width,
         wall_time_ms=ms,
         flags=flags,
+        stop_fraction=stop_fraction,
     )
 
 
@@ -296,6 +269,7 @@ def cmd_dem(
                 width=0,
                 wall_time_ms=ms,
                 flags=flags,
+                stop_fraction=stop_fraction,
             )
         )
         rows.append(
@@ -349,7 +323,9 @@ def cmd_simulate(
         )
         ms = (time.perf_counter() - t0) * 1000.0
         width = round(alpha * n * stop_fraction)
-        flags = ";".join(trace2.flags + trace3.flags)
+        flags = trace2.flags + trace3.flags
+        if not promote_fully_paired:
+            flags.append("literal_promotion")
         records.append(
             RunRecord(
                 method="sim",
@@ -361,7 +337,8 @@ def cmd_simulate(
                 alpha=alpha,
                 width=width,
                 wall_time_ms=ms,
-                flags=flags,
+                flags=";".join(flags),
+                stop_fraction=stop_fraction,
             )
         )
         alphas.append(alpha)
@@ -392,7 +369,9 @@ def replay_record(rec: RunRecord, *, strategy: str = "rematch") -> float:
         bis, _ = run_alg1(
             g,
             GreedyConfig(
-                r0_offset=rec.r0_offset, seed=_child_seed(base, 2, gi, ri)
+                r0_offset=rec.r0_offset,
+                seed=_child_seed(base, 2, gi, ri),
+                stop_fraction=rec.stop_fraction,
             ),
         )
         return bis.alpha
@@ -401,9 +380,11 @@ def replay_record(rec: RunRecord, *, strategy: str = "rematch") -> float:
         promote = "literal_promotion" not in rec.flags
         state, _ = run_alg2(
             rec.n, rec.d, seed=_child_seed(base, 3, si),
-            promote_fully_paired=promote,
+            promote_fully_paired=promote, stop_fraction=rec.stop_fraction,
         )
-        alpha, _ = run_alg3(state, seed=_child_seed(base, 4, si))
+        alpha, _ = run_alg3(
+            state, seed=_child_seed(base, 4, si), stop_fraction=rec.stop_fraction
+        )
         return alpha
     if rec.method == "dem":
         mode = "fixed" if "mode=fixed" in rec.flags else "adaptive"
@@ -411,7 +392,9 @@ def replay_record(rec: RunRecord, *, strategy: str = "rematch") -> float:
         for part in rec.flags.split(";"):
             if part.startswith("steps="):
                 steps = int(part.split("=", 1)[1])
-        result = dem_mod.run_dem(rec.d, rec.eps, mode=mode, steps=steps)
+        result = dem_mod.run_dem(
+            rec.d, rec.eps, rec.stop_fraction, mode=mode, steps=steps
+        )
         return result.alpha_upper
     raise ValueError(f"unknown method {rec.method!r}")
 

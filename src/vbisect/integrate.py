@@ -160,7 +160,8 @@ def solve_adaptive(
             break
         h = min(h, t_end - t)
         if h < 1e-14 * max(1.0, abs(t)):
-            res.status = "h_underflow"
+            if h < t_end - t:  # not just a rounding remainder of the span
+                res.status = "h_underflow"
             break
         y_new, err, k1, k7 = _dp54_step(f, t, y, h, k1)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))

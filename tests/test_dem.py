@@ -6,13 +6,14 @@ untouched class) were derived by hand and cross-checked with a separate
 single-file integrator before being asserted here.
 """
 
+import itertools
 import math
 
 import numpy as np
 import pytest
 
 from vbisect import dem
-from vbisect.integrate import Event
+from vbisect.integrate import Event, solve_adaptive
 
 NEVER = [Event(lambda t, y: 1.0, direction=0, name="never")]
 
@@ -101,11 +102,57 @@ def test_stage_one_pools_drain_linearly():
     s0 = dem.DemState(4, r0, z0)
     A = s0.points_all
     T = 0.4 * s0.points_red
-    end, fired, raw = dem.integrate_phase(dem.rhs_phase1(4), s0, NEVER, t_max=T)
-    assert fired is None and raw.status == "t_end"
+    rnd = dem.ExactRound(s0)
+    assert T < rnd.t_at(rnd.u_end)
+    end = rnd.state(rnd.u_at(T))
     assert end.points_all == pytest.approx(A - 2 * T, abs=1e-12)
     # the untouched class sees only the all-points draw, d times per vertex
     assert end.z[4] == pytest.approx(z0[4] * ((A - 2 * T) / A) ** 2, abs=1e-12)
+    # and the red points follow p_red = s (c + s), s = sqrt(A - 2t)
+    s, c = math.sqrt(A - 2 * T), s0.points_red / math.sqrt(A) - math.sqrt(A)
+    assert end.points_red == pytest.approx(s * (c + s), abs=1e-12)
+
+
+def _random_stage_one_state(d, rng):
+    s = dem.DemState(d, rng.uniform(0.01, 1.0, d), rng.uniform(0.01, 1.0, d + 1))
+    total = s.mass
+    return dem.DemState(d, s.r / total, s.z / total)
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+def test_exact_round_matches_integrated_rhs(d):
+    # the oracle: rhs_phase1 integrated by the adaptive solver, at mid-round
+    # and at the end of the round, from the seed and from a random state
+    rng = np.random.default_rng(40 + d)
+    for s0 in (dem.init_state(d, 1e-5), _random_stage_one_state(d, rng)):
+        rnd = dem.ExactRound(s0)
+        y0 = np.concatenate([s0.r, s0.z])
+        t_end = rnd.t_at(rnd.u_end)
+        for t in (0.5 * t_end, t_end):
+            oracle = solve_adaptive(dem.rhs_phase1(d), 0.0, y0, t, rtol=1e-10)
+            assert oracle.status == "t_end"
+            assert np.abs(rnd.vector(t) - oracle.y).max() <= 1e-9
+        end = rnd.state(rnd.u_end)
+        assert end.points_red == pytest.approx(dem.DELTA_STOP, rel=1e-6)
+        assert end.r.min() >= 0.0 and end.z.min() >= 0.0
+
+
+@pytest.mark.parametrize("promote_fully_paired", [True, False])
+def test_stop_is_the_first_crossing_of_the_target(promote_fully_paired):
+    # a round of the default d = 4 run, with a target halfway through its
+    # promotion: just before the stop the promotion falls short
+    res = dem.run_dem(4, promote_fully_paired=promote_fully_paired)
+    rnd = dem.ExactRound(res.post_roll_states[3])
+    frac = rnd.s0.red_mass + 0.5 * (
+        dem.rollover(rnd.state(rnd.u_end), promote_fully_paired).red_mass
+        - rnd.s0.red_mass
+    )
+    u = rnd.stop_u(frac, promote_fully_paired)
+    assert 0.0 < u < rnd.u_end
+    for v, short in ((u, False), (u * (1 - 1e-12), True)):
+        red = dem.rollover(rnd.state(v), promote_fully_paired).red_mass
+        assert (red < frac) is short
+    assert rnd.stop_u(1.0, promote_fully_paired) is None
 
 
 @pytest.mark.parametrize("family", ["draw_low", "draw_any"])
@@ -117,6 +164,25 @@ def test_stage_two_red_pool_drains_at_rate_two(family):
     assert raw.status == "t_end"
     p0 = float(np.arange(5) @ y0)
     assert float(np.arange(5) @ end.r) == pytest.approx(p0 - 2 * T, abs=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["two", "fallback"])
+def test_stage_two_rates_follow_the_pairing_model(kind):
+    # the simulation draws first points from red classes 1..top (1..ceil(d/2),
+    # or every red class in the fallback; class d is the untouched white
+    # pool) and second points from every unpaired point
+    d, top = 4, {"two": 2, "fallback": 3}[kind]
+    y = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
+    f = dem.rhs_phase2(d) if kind == "two" else dem.rhs_phase2_fallback(d)
+    p_first = sum(i * y[i] for i in range(1, top + 1))
+    p_all = sum(i * y[i] for i in range(d + 1))
+    rate = [(1 / p_first if i <= top else 0.0) + 1 / p_all for i in range(d + 1)]
+    out = [i * y[i] * rate[i] for i in range(d + 1)]
+    want = [out[i + 1] - out[i] for i in range(d)] + [-out[d]]
+    assert f(0.0, y) == pytest.approx(want, abs=1e-14)
+    # the readout's backward pass draws first points from the same pool
+    _, _, first = dem._leg_layout(d, kind)
+    assert first[1:].tolist() == [1.0] * top + [0.0] * (d - top)
 
 
 # -- transitions ------------------------------------------------------------
@@ -135,20 +201,6 @@ def test_rollover_literal_variant_keeps_class_zero():
     rolled = dem.rollover(s, promote_fully_paired=False)
     assert rolled.r.tolist() == [0.125, 0.1875, 0.1875, 0.1875]
     assert rolled.z[0] == 0.0625
-
-
-def test_rollover_clamps_event_slack_only():
-    s = dem.DemState(
-        4,
-        np.array([0.1, -1e-10, 0.1, 0.1]),
-        np.array([0.0, 0.0, 0.0, -5e-10, 0.5]),
-    )
-    rolled = dem.rollover(s)
-    assert rolled.r[1] == 0.0
-    assert rolled.r[3] == pytest.approx(0.1 - 5e-10)
-    # entries at or below the clamp width are left alone: they mean a bug
-    s2 = dem.DemState(4, np.array([0.1, -1e-8, 0.1, 0.1]), np.zeros(5))
-    assert dem.rollover(s2).r[1] == -1e-8
 
 
 def test_stage_two_relabel_drops_open_shells():
@@ -171,54 +223,38 @@ def test_stage_two_relabel_drops_open_shells():
 
 
 def test_first_round_ends_when_red_points_run_out():
-    s0 = dem.init_state(4, 1e-5)
-    events = [dem._ev_negativity()] + dem._guard_events_phase1(4)
-    end, fired, raw = dem.integrate_phase(dem.rhs_phase1(4), s0, events)
-    assert fired == "guard_red_points"
+    rnd = dem.ExactRound(dem.init_state(4, 1e-5))
     # the seed holds 3e-5 red points and they drain at rate just above 1
-    assert 2.9e-5 < raw.t < 3.01e-5
-    # crossing time is bisected to 1e-10, so the pool sits at the guard
-    assert end.points_red == pytest.approx(dem.DELTA_STOP, abs=1e-9)
-
-
-def test_fixed_grid_matches_adaptive_on_first_round():
-    s0 = dem.init_state(4, 1e-5)
-    events = [dem._ev_negativity()] + dem._guard_events_phase1(4)
-    end_a, _, _ = dem.integrate_phase(dem.rhs_phase1(4), s0, events)
-    leg_steps = max(dem.FIXED_MIN_LEG_STEPS, 10**6 // dem.FIXED_LEG_SHARE)
-    h, t_cap = dem._fixed_leg_grid(leg_steps, s0.points_red, 1.0)
-    end_f, fired, _ = dem.integrate_phase(
-        dem.rhs_phase1(4), s0, events, mode="fixed", h_fixed=h, t_max=t_cap
-    )
-    assert fired == "guard_red_points"
-    diff = max(
-        float(np.abs(end_a.r - end_f.r).max()),
-        float(np.abs(end_a.z - end_f.z).max()),
-    )
-    assert diff <= 1e-8
+    assert 2.9e-5 < rnd.t_at(rnd.u_end) < 3.01e-5
+    assert rnd.state(rnd.u_end).points_red == pytest.approx(dem.DELTA_STOP, rel=1e-9)
+    assert rnd.u_at(rnd.t_at(rnd.u_end)) == pytest.approx(rnd.u_end, rel=1e-12)
 
 
 def test_fixed_leg_grid_spans_the_drain_time():
-    h, t_cap = dem._fixed_leg_grid(1000, 0.4, 2.0)
+    h, t_cap = dem._fixed_leg_grid(1000, 0.4)
     assert t_cap == pytest.approx((17 / 16) * 0.4 / 2.0)
     assert h == pytest.approx(t_cap / 1000)
     # dead pool: the span falls back to the guard width, not zero
-    h0, t0 = dem._fixed_leg_grid(1000, 0.0, 1.0)
-    assert t0 == pytest.approx((17 / 16) * dem.DELTA_STOP)
+    h0, t0 = dem._fixed_leg_grid(1000, 0.0)
+    assert t0 == pytest.approx((17 / 16) * dem.DELTA_STOP / 2.0)
     assert h0 > 0
     # huge pool: capped by the hard ceiling
-    _, t_big = dem._fixed_leg_grid(1000, 1e9, 1.0)
+    _, t_big = dem._fixed_leg_grid(1000, 1e9)
     assert t_big == dem.MAX_LEG_TIME
 
 
 def test_integrate_phase_validation():
-    s0 = dem.init_state(4, 1e-5)
+    s0 = dem.DemState(4, np.array([0.05, 0.1, 0.05, 0.02, 0.3]), np.zeros(1))
+    f = dem.rhs_phase2(4)
     with pytest.raises(ValueError):
-        dem.integrate_phase(dem.rhs_phase1(4), s0, [])
+        dem.integrate_phase(f, s0, [])
     with pytest.raises(ValueError):
-        dem.integrate_phase(dem.rhs_phase1(4), s0, NEVER, mode="fixed")
+        dem.integrate_phase(f, s0, NEVER, mode="fixed")
     with pytest.raises(ValueError):
-        dem.integrate_phase(dem.rhs_phase1(4), s0, NEVER, mode="bogus")
+        dem.integrate_phase(f, s0, NEVER, mode="bogus")
+    # stage one is solved in closed form, never integrated
+    with pytest.raises(ValueError, match="stage-two"):
+        dem.integrate_phase(dem.rhs_phase1(4), dem.init_state(4, 1e-5), NEVER)
 
 
 # -- full runs --------------------------------------------------------------
@@ -350,11 +386,13 @@ def test_fully_paired_pulls_back_to_class_zero(monkeypatch, d):
 def test_readout_within_class_bounds(promote_fully_paired):
     # the interior is at most the fully paired red mass, and loses at most
     # d - 1 vertices per class-1 vertex and d per white left white; 1e-7
-    # covers the backward solve and the path interpolant
-    for d in range(3, 11):
-        res = dem.run_dem(d, promote_fully_paired=promote_fully_paired)
+    # covers the backward solve and the path interpolant. Over the config
+    # grid every backward solve finishes and every run balances.
+    for d, sf, eps in itertools.product(range(3, 11), (0.5, 0.3), (None, "d/n")):
+        eps = d / 1e5 if eps == "d/n" else eps
+        res = dem.run_dem(d, eps, sf, promote_fully_paired=promote_fully_paired)
+        assert not [f for f in res.flags if f.startswith(("readout_", "no_balance"))]
         end = res.final_state
-        sf = res.stop_fraction
         lost = (d - 1) * end.r[1] + d * end.z[0]
         assert 1.0 - end.r[0] / sf - 1e-7 <= res.alpha_upper
         assert res.alpha_upper <= 1.0 - (end.r[0] - lost) / sf + 1e-7

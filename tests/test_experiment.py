@@ -70,6 +70,9 @@ def test_csv_rejects_foreign_header(tmp_path):
     path.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="columns"):
         records_from_csv(path)
+    # appending rows under another header would make the file unreadable
+    with pytest.raises(ValueError, match="columns"):
+        records_to_csv(_sample_records(), path)
 
 
 def test_manifest_contents(tmp_path):
@@ -164,6 +167,21 @@ def test_sim_records_replay_bit_exact():
 def test_dem_records_replay_bit_exact():
     records, _ = cmd_dem([4], steps=20_000, mode="fixed")
     assert replay_record(records[0]) == records[0].alpha
+
+
+def test_non_default_configs_replay_bit_exact():
+    # stop_fraction is a record column and the literal promotion a flag;
+    # each of these alphas differs from the one the default config gives
+    records = [
+        cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, stop_fraction=0.3)[0][0],
+        cmd_simulate(4, n=300, seeds=1, seed=9, stop_fraction=0.3)[0][0],
+        cmd_simulate(3, n=2000, seeds=1, seed=9, promote_fully_paired=False)[0][0],
+        cmd_dem([4], stop_fraction=0.3)[0][0],
+    ]
+    assert [r.stop_fraction for r in records] == [0.3, 0.3, 0.5, 0.3]
+    assert "literal_promotion" in records[2].flags
+    for rec in records:
+        assert replay_record(rec) == rec.alpha
 
 
 def test_replay_rejects_unknown_method():

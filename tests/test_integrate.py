@@ -105,3 +105,10 @@ def test_fixed_event_and_path():
     # logistic from 0.2 reaches 0.5 at t = ln 4
     assert abs(res.t - math.log(4)) < 1e-6
     assert res.path
+
+
+def test_rounding_remainder_of_the_span_counts_as_arrival():
+    # a span below the step-size floor is arrival at t_end, not an underflow
+    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1e-20)
+    assert res.status == "t_end"
+    assert res.y[0] == 1.0
