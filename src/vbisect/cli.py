@@ -83,17 +83,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args: argparse.Namespace, argv: list[str]) -> None:
+def _apply_config(
+    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
+) -> None:
     if not args.config:
         return
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
+    # an option's dest is not its flag (--d stores to d_list on dem)
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    opts = {**parser._option_string_actions,
+            **sub.choices[args.command]._option_string_actions}
+    flags = (tok.split("=", 1)[0] for tok in argv)
+    explicit = {opts[flag].dest for flag in flags if flag in opts}
     for key, value in cfg.items():
         dest = key.replace("-", "_")
         if dest in explicit or not hasattr(args, dest):
@@ -106,7 +110,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,10 +15,14 @@ partition the simulation builds (the red set less class 1), read off in
 the fluid limit by a backward pass along the path (see the readout
 section).
 
-Both right-hand sides are conservative: component sums vanish identically.
-The transitions (promotions, the hand-off and the stage-two negativity
-clamp) only move mass between classes; `run_dem` raises if one changes
-the total by more than CLAMP_TOL.
+The process is defined once: `_leg_layout` gives each leg's point
+counts, moves and first-point pool, from which the right-hand sides and
+the readout's backward pass are built, and `_transition` maps each class
+through a promotion or the hand-off, forward for the run and backward for
+the readout. The right-hand sides are conservative: component sums vanish
+up to rounding. The transitions (promotions, the hand-off and the
+stage-two negativity clamp) only move mass between classes; `run_dem`
+raises if one changes the total by more than CLAMP_TOL.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ FIXED_MIN_LEG_STEPS = 256
 MAX_LEG_TIME = 64.0
 MAX_ROUNDS = 400
 MAX_STAGE2_LEGS = 50
+RTOL, ATOL = 1e-10, 1e-12  # adaptive stage-two legs
 
 
 @dataclass
@@ -73,11 +78,6 @@ class DemState:
     def red_mass(self) -> float:
         """Red vertex fraction: classes 0..d-1 (never the untouched pool)."""
         return float(self.r[: self.d].sum())
-
-    @property
-    def low_points(self) -> float:
-        m = (self.d + 1) // 2
-        return float(np.arange(m + 1) @ self.r[: m + 1])
 
     @property
     def mass(self) -> float:
@@ -117,61 +117,55 @@ class DemRunResult:
 # -- right-hand sides ------------------------------------------------------
 
 
-def rhs_phase1(d: int):
-    """Stage-one derivative of [r_0..r_{d-1}, z_0..z_d].
+def _leg_layout(d: int, kind: str):
+    """(unpaired points, index of the state one point down, mask of the
+    states that give first points) over the state vector of a leg of kind
+    "one" (a stage-one round), "two" or "fallback" (stage two)."""
+    if kind == "one":  # [r_0..r_{d-1}, z_0..z_d]; first points are red
+        pts = np.concatenate([np.arange(d), np.arange(d + 1)]).astype(float)
+        down = np.concatenate([[0], np.arange(d - 1), [d], np.arange(d, 2 * d)])
+        first = np.concatenate([np.ones(d), np.zeros(d + 1)])
+        return pts, down, first
+    pts = np.arange(d + 1, dtype=float)  # [r_0..r_d], r_d untouched
+    down = np.concatenate([[0], np.arange(d)])
+    # first points: the low red classes 1..ceil(d/2), or every red class
+    # once those are exhausted; never the untouched pool
+    first = np.ones(d + 1)
+    first[((d + 1) // 2 if kind == "two" else d - 1) + 1 :] = 0.0
+    return pts, down, first
 
-    Each step pairs a red point (uniform among the red unpaired, rate
-    1/points_red per point) with a partner uniform among all unpaired
-    points (rate 1/points_all per point), so every class flows one step
-    down at the combined per-point rate. Written as a telescoping
-    difference, which makes the component sum vanish identically.
-    `run_dem` never integrates it: `ExactRound` is its exact solution,
-    and the tests compare the two.
+
+def _leg_rhs(d: int, kind: str):
+    """Derivative of a leg's state vector under `_leg_layout(d, kind)`.
+
+    Each exposure pairs a first point, uniform over the first-point pool,
+    with a second point, uniform over all unpaired points, so each state
+    loses points at its combined per-point rate and that mass moves to the
+    state one point down. The component sum vanishes up to rounding.
     """
-    i_r = np.arange(d + 1, dtype=float)  # virtual r_d = 0
-    i_z = np.arange(d + 2, dtype=float)  # virtual z_{d+1} = 0
-
-    def f(t: float, y: np.ndarray) -> np.ndarray:
-        r = y[:d]
-        z = y[d:]
-        wr = np.zeros(d + 1)
-        wr[:d] = i_r[:d] * r
-        wz = np.zeros(d + 2)
-        wz[: d + 1] = i_z[: d + 1] * z
-        p_red = wr.sum()
-        p_all = p_red + wz.sum()
-        dr = (1.0 / p_red + 1.0 / p_all) * np.diff(wr)
-        dz = np.diff(wz) / p_all
-        return np.concatenate([dr, dz])
-
-    return f
-
-
-def _rhs_stage2(d: int, kind: str):
-    """Stage-two derivative of [r_0..r_d] with the first-point pool of
-    `_leg_layout(d, kind)`; see `rhs_phase2`."""
-    pts, _, first = _leg_layout(d, kind)
+    pts, down, first = _leg_layout(d, kind)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         w = pts * y
         wf = w * first
         out = w / w.sum() + (wf / wf.sum() if wf.any() else 0.0)
-        return np.diff(np.append(out, 0.0))  # virtual r_{d+1} = 0
+        return np.bincount(down, out, pts.size) - out
 
     return f
 
 
-def rhs_phase2(d: int):
-    """Stage-two derivative of [r_0..r_d].
+def rhs_phase1(d: int):
+    """Stage-one derivative of [r_0..r_{d-1}, z_0..z_d]: first points are
+    red, hit whites keep their colour. `run_dem` never integrates it:
+    `ExactRound` is its exact solution, and the tests compare the two."""
+    return _leg_rhs(d, "one")
 
-    Second-point flow: every class down one step at rate 1/points_all per
-    point (class d, the untouched pool, included, loss-only). First-point
-    flow: only the low classes 1..ceil(d/2) are drawn, so mass moves down
-    within that range at rate 1/low_points per point; the top low class
-    gets no gain term, which is the only form whose components sum to
-    zero.
-    """
-    return _rhs_stage2(d, "two")
+
+def rhs_phase2(d: int):
+    """Stage-two derivative of [r_0..r_d]: first points come from the low
+    red classes 1..ceil(d/2), second points from every class, the
+    untouched pool r_d included (loss-only)."""
+    return _leg_rhs(d, "two")
 
 
 def rhs_phase2_fallback(d: int):
@@ -179,7 +173,7 @@ def rhs_phase2_fallback(d: int):
     `rhs_phase2`, but first points are drawn from every red class
     1..d-1, as the simulation's fallback draws them from all red unpaired
     points (never from the untouched pool)."""
-    return _rhs_stage2(d, "fallback")
+    return _leg_rhs(d, "fallback")
 
 
 # -- the exact stage-one round ---------------------------------------------
@@ -272,30 +266,39 @@ def init_state(d: int, eps: float) -> DemState:
     return DemState(d, r, z)
 
 
-def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
-    """End-of-round promotion: z_0..z_{d-1} accumulate into r_0..r_{d-1}
-    (optionally leaving z_0 in place) and the untouched pool stays."""
-    d = s.d
-    r = s.r.copy()
-    z = np.zeros(d + 1)
+def _transition(d: int, promote_fully_paired: bool, handoff: bool) -> np.ndarray:
+    """Index of each entry of the stage-one vector [r_0..r_{d-1}, z_0..z_d]
+    after a promotion (into the stage-one layout) or the hand-off (into the
+    stage-two layout [r_0..r_d]). Red classes stay, the hit whites z_j join
+    r_j, and the untouched pool stays (at the hand-off it becomes class d).
+    Fully paired whites z_0 join r_0, or in the literal variant stay white:
+    as z_0 within stage one, as -1 (the stage-two z) at the hand-off."""
     lo = 0 if promote_fully_paired else 1
-    r[lo:] += s.z[lo:d]
-    if not promote_fully_paired:
-        z[0] = s.z[0]
-    z[d] = s.z[d]
-    return DemState(d, r, z)
+    white, pool = (-1, d) if handoff else (d, 2 * d)
+    whites = [j if j >= lo else white for j in range(d)]
+    return np.array(list(range(d)) + whites + [pool])
+
+
+def _transit(s: DemState, promote_fully_paired: bool, handoff: bool):
+    """`_transition` applied forward to a stage-one state: (the entries
+    after it, [the mass it sends to -1])."""
+    m = _transition(s.d, promote_fully_paired, handoff)
+    moved = np.bincount(m + 1, np.concatenate([s.r, s.z]))
+    return moved[1:], moved[:1]
+
+
+def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
+    """End-of-round promotion of the hit whites (see `_transition`)."""
+    y, _ = _transit(s, promote_fully_paired, handoff=False)
+    return DemState(s.d, y[: s.d], y[s.d :])
 
 
 def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
-    """Seed of stage two from the stage-one state at its stop: promote the
-    hit whites as `rollover` does, then relabel, so the untouched pool
-    becomes class d and the fully paired whites left white (if any) are
-    kept in z. No mass is dropped."""
-    rolled = rollover(s, promote_fully_paired)
-    r = np.empty(s.d + 1)
-    r[: s.d] = rolled.r
-    r[s.d] = rolled.z[s.d]
-    return DemState(s.d, r, rolled.z[:1].copy())
+    """Seed of stage two from the stage-one state at its stop: promote as
+    `rollover` does and relabel the untouched pool as class d; the fully
+    paired whites left white (if any) are kept in z. No mass is dropped."""
+    r, z = _transit(s, promote_fully_paired, handoff=True)
+    return DemState(s.d, r, z)
 
 
 # -- readout: the boundary of the balanced partition -------------------------
@@ -341,23 +344,6 @@ class Leg:
     kind: str
     span: float
     at: Callable[[float], np.ndarray]
-
-
-def _leg_layout(d: int, kind: str):
-    """(unpaired points, index of the state one point down, mask of the
-    states that give first points) over a leg's state vector."""
-    if kind == "one":  # [r_0..r_{d-1}, z_0..z_d]; first points are red
-        pts = np.concatenate([np.arange(d), np.arange(d + 1)]).astype(float)
-        down = np.concatenate([[0], np.arange(d - 1), [d], np.arange(d, 2 * d)])
-        first = np.concatenate([np.ones(d), np.zeros(d + 1)])
-        return pts, down, first
-    pts = np.arange(d + 1, dtype=float)  # [r_0..r_d], r_d untouched
-    down = np.concatenate([[0], np.arange(d)])
-    # first points: the low red classes 1..ceil(d/2), or every red class
-    # once those are exhausted; never the untouched pool
-    first = np.ones(d + 1)
-    first[((d + 1) // 2 if kind == "two" else d - 1) + 1 :] = 0.0
-    return pts, down, first
 
 
 def _path_interpolant(t: np.ndarray, y: np.ndarray):
@@ -406,16 +392,12 @@ def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
     return out.y, out.status
 
 
-def _relabel(x: np.ndarray, src: np.ndarray) -> np.ndarray:
-    """[h, k] before a transition from [h, k] after it: state i before is
-    state src[i] after, or a fully paired white that stays white (-1),
-    which ends outside the half."""
+def _relabel(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """[h, k] before a transition from [h, k] after it: the map m of
+    `_transition` gathered backward. A fully paired white that stays
+    white (-1) ends outside the half, so both read 0 there."""
     n = x.size // 2
-    kept = src >= 0
-    idx = np.where(kept, src, 0)
-    return np.concatenate(
-        [np.where(kept, x[:n][idx], 0.0), np.where(kept, x[n:][idx], 0.0)]
-    )
+    return np.concatenate([np.append(x[:n], 0.0)[m], np.append(x[n:], 0.0)[m]])
 
 
 def pull_back(
@@ -425,20 +407,11 @@ def pull_back(
     seed (stage-one layout) through the legs and transitions of the run;
     returns it with the flags of any leg whose backward solve did not
     finish."""
-    lo = 0 if promote_fully_paired else 1
-    # the hand-off: promote, then the untouched pool becomes class d
-    to_two = np.array(
-        list(range(d)) + [j if j >= lo else -1 for j in range(d)] + [d]
-    )
-    # a promotion within stage one: hit whites join their red class
-    to_one = np.array(
-        list(range(d)) + [j if j >= lo else d for j in range(d)] + [2 * d]
-    )
     flags = []
     after = "end"
     for leg in reversed(legs):
-        if leg.kind == "one":
-            x = _relabel(x, to_one if after == "one" else to_two)
+        if leg.kind == "one":  # a promotion, or the hand-off after the last round
+            x = _relabel(x, _transition(d, promote_fully_paired, after != "one"))
         x, status = _pull_back_leg(d, leg, x)
         if status != "t_end":
             flags.append(f"readout_{status}")
@@ -501,8 +474,6 @@ def integrate_phase(
     mode: str = "adaptive",
     h_fixed: float | None = None,
     t_max: float = MAX_LEG_TIME,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
     keep_every: int = 0,
 ) -> tuple[DemState, str | None, IntResult]:
     """One stage-two integration leg from s0 to its earliest event.
@@ -516,7 +487,7 @@ def integrate_phase(
         raise ValueError("integrate_phase takes stage-two states only")
     if mode == "adaptive":
         res = solve_adaptive(
-            rhs, 0.0, s0.r, t_max, events, rtol=rtol, atol=atol, keep_every=keep_every
+            rhs, 0.0, s0.r, t_max, events, rtol=RTOL, atol=ATOL, keep_every=keep_every
         )
     elif mode == "fixed":
         if h_fixed is None:

@@ -1,9 +1,11 @@
-"""Explicit Runge-Kutta steppers with sign-change event location.
+"""Explicit Runge-Kutta integration with sign-change event location.
 
-Two drivers share one event protocol: an adaptive Dormand-Prince 5(4) pair
-for accuracy-controlled work and a classical fixed-step RK4 for
-budgeted-step-count runs. Events are scalar functions of (t, y); a driver
-stops at the first sign change and refines the crossing time by bisection.
+One driver owns the loop: the step cap, the step-size floor, event
+detection and location, and the recorded path. It takes one of two
+steppers: an adaptive Dormand-Prince 5(4) pair for accuracy-controlled
+work, or classical RK4 on a fixed grid for budgeted-step-count runs.
+Events are scalar functions of (t, y); the driver stops at the first sign
+change and refines the crossing time by bisection.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ _DP_BH = np.array(
 )
 
 T_TOL = 1e-10  # absolute tolerance for event crossing times
+MAX_STEPS = 5_000_000  # default cap on attempted steps per solve
 
 
 @dataclass
@@ -97,6 +100,35 @@ def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float) -> np.ndarray:
     return y + h / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
+# A stepper is a pair (step, trial). step(t, y, h) returns (y at t + h, or
+# None if the step is rejected, and the next step size); trial(t, y, h)
+# integrates by exactly h, for event location.
+
+
+def _dp54(f: RhsFn, rtol: float, atol: float):
+    """Adaptive DP54 stepper: error control, rejection, and FSAL reuse of
+    f at the last accepted point."""
+    k1 = None
+
+    def step(t: float, y: np.ndarray, h: float):
+        nonlocal k1
+        y_new, err, k1, k7 = _dp54_step(f, t, y, h, k1)
+        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
+        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        if err_norm > 1.0:
+            return None, h * max(0.2, 0.9 * err_norm ** -0.2)
+        k1 = k7
+        return y_new, h * (min(5.0, 0.9 * err_norm ** -0.2) if err_norm > 0 else 5.0)
+
+    return step, lambda t, y, h: _dp54_step(f, t, y, h, None)[0]
+
+
+def _rk4(f: RhsFn):
+    """Fixed-grid RK4 stepper: every step is accepted at the same size."""
+    trial = lambda t, y, h: _rk4_step(f, t, y, h)
+    return (lambda t, y, h: (trial(t, y, h), h)), trial
+
+
 def _locate_event(step_fn, t0: float, y0: np.ndarray, h: float, ev: Event, g0: float):
     """Bisect the step length until the crossing is bracketed within T_TOL.
 
@@ -125,24 +157,14 @@ def _first_crossing(step_fn, t0, y0, h, fired_events, g_start):
     return best
 
 
-def solve_adaptive(
-    f: RhsFn,
-    t0: float,
-    y0: np.ndarray,
-    t_end: float,
-    events: Sequence[Event] = (),
-    *,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-    h0: float | None = None,
-    max_steps: int = 5_000_000,
-    keep_every: int = 0,
-) -> IntResult:
-    """Integrate y' = f(t, y) with DP54, stopping at t_end or the first event.
+def _drive(stepper, t0, y0, t_end, h, events, max_steps, keep_every) -> IntResult:
+    """Step from (t0, y0) with initial step h to t_end or the first event.
 
-    keep_every > 0 records every that-many-th accepted state (plus the last)
-    in result.path.
+    max_steps caps attempted steps, rejected ones included. The last step
+    is shortened to land on t_end. keep_every > 0 records the start, every
+    that-many-th accepted state and the last one in result.path.
     """
+    step, trial = stepper
     t = float(t0)
     y = np.asarray(y0, dtype=float).copy()
     res = IntResult(t=t, y=y, status="t_end")
@@ -151,9 +173,7 @@ def solve_adaptive(
     if t_end <= t:
         return res
 
-    h = h0 if h0 is not None else min(1e-6, (t_end - t))
     g = [ev(t, y) for ev in events]
-    k1 = None
     while t < t_end:
         if res.n_steps + res.n_rejected >= max_steps:
             res.status = "max_steps"
@@ -163,22 +183,17 @@ def solve_adaptive(
             if h < t_end - t:  # not just a rounding remainder of the span
                 res.status = "h_underflow"
             break
-        y_new, err, k1, k7 = _dp54_step(f, t, y, h, k1)
-        scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
-        if err_norm > 1.0:
+        y_new, h_next = step(t, y, h)
+        if y_new is None:
             res.n_rejected += 1
-            h *= max(0.2, 0.9 * err_norm ** -0.2)
+            h = h_next
             continue
 
         t_new = t + h
-        fired = []
         g_new = [ev(t_new, y_new) for ev in events]
-        for i, ev in enumerate(events):
-            if ev.fired(g[i], g_new[i]):
-                fired.append((i, ev))
+        fired = [(i, ev) for i, ev in enumerate(events) if ev.fired(g[i], g_new[i])]
         if fired:
-            step_fn = lambda hh: _dp54_step(f, t, y, hh, None)[0] if hh > 0 else y
+            step_fn = lambda hh: trial(t, y, hh) if hh > 0 else y
             t_ev, y_ev, ev = _first_crossing(step_fn, t, y, h, fired, g)
             res.t, res.y = t_ev, y_ev
             res.status, res.event = "event", ev.name
@@ -187,19 +202,33 @@ def solve_adaptive(
                 res.path.append((t_ev, y_ev.copy()))
             return res
 
-        t, y, g, k1 = t_new, y_new, g_new, k7
+        t, y, g, h = t_new, y_new, g_new, h_next
         res.n_steps += 1
         if keep_every and res.n_steps % keep_every == 0:
             res.path.append((t, y.copy()))
-        if err_norm > 0:
-            h *= min(5.0, 0.9 * err_norm ** -0.2)
-        else:
-            h *= 5.0
 
     res.t, res.y = t, y
     if keep_every and (not res.path or res.path[-1][0] != t):
         res.path.append((t, y.copy()))
     return res
+
+
+def solve_adaptive(
+    f: RhsFn,
+    t0: float,
+    y0: np.ndarray,
+    t_end: float,
+    events: Sequence[Event] = (),
+    *,
+    rtol: float = 1e-10,
+    atol: float = 1e-12,
+    max_steps: int = MAX_STEPS,
+    keep_every: int = 0,
+) -> IntResult:
+    """Integrate y' = f(t, y) with DP54, stopping at t_end or the first
+    event; see `_drive` for max_steps and keep_every."""
+    stepper = _dp54(f, rtol, atol)
+    return _drive(stepper, t0, y0, t_end, 1e-6, events, max_steps, keep_every)
 
 
 def solve_fixed(
@@ -210,46 +239,10 @@ def solve_fixed(
     h: float,
     events: Sequence[Event] = (),
     *,
-    max_steps: int | None = None,
+    max_steps: int = MAX_STEPS,
     keep_every: int = 0,
 ) -> IntResult:
-    """Classical RK4 with constant step h; same event semantics as the
-    adaptive driver. The final step is shortened to land on t_end."""
+    """As `solve_adaptive`, with classical RK4 at constant step h."""
     if h <= 0:
         raise ValueError("step must be positive")
-    t = float(t0)
-    y = np.asarray(y0, dtype=float).copy()
-    res = IntResult(t=t, y=y, status="t_end")
-    if keep_every:
-        res.path.append((t, y.copy()))
-    if t_end <= t:
-        return res
-
-    g = [ev(t, y) for ev in events]
-    while t < t_end:
-        if max_steps is not None and res.n_steps >= max_steps:
-            res.status = "max_steps"
-            break
-        hs = min(h, t_end - t)
-        y_new = _rk4_step(f, t, y, hs)
-        t_new = t + hs
-        g_new = [ev(t_new, y_new) for ev in events]
-        fired = [(i, ev) for i, ev in enumerate(events) if ev.fired(g[i], g_new[i])]
-        if fired:
-            step_fn = lambda hh: _rk4_step(f, t, y, hh) if hh > 0 else y
-            t_ev, y_ev, ev = _first_crossing(step_fn, t, y, hs, fired, g)
-            res.t, res.y = t_ev, y_ev
-            res.status, res.event = "event", ev.name
-            res.n_steps += 1
-            if keep_every:
-                res.path.append((t_ev, y_ev.copy()))
-            return res
-        t, y, g = t_new, y_new, g_new
-        res.n_steps += 1
-        if keep_every and res.n_steps % keep_every == 0:
-            res.path.append((t, y.copy()))
-
-    res.t, res.y = t, y
-    if keep_every and (not res.path or res.path[-1][0] != t):
-        res.path.append((t, y.copy()))
-    return res
+    return _drive(_rk4(f), t0, y0, t_end, h, events, max_steps, keep_every)

@@ -108,12 +108,20 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
 
 
 def test_explicit_flag_beats_config(tmp_path, capsys):
+    # --d on dem and --n on balls store to d_list and n_list
+    cases = [
+        ({"n": 60}, ["gen", "--d", "3", "--n", "40", "--seed", "0",
+                     "--out", str(tmp_path)], "n40", "n60"),
+        ({"d_list": [5]}, ["dem", "--d", "4"], "\n4,", "\n5,"),
+        ({"n_list": [500]}, ["balls", "--d", "3", "--n", "1000"], "\n1000,", "\n500,"),
+    ]
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 60}))
-    rc = main(["--config", str(cfg), "gen", "--d", "3", "--n", "40",
-               "--seed", "0", "--out", str(tmp_path)])
-    assert rc == 0
-    assert "n40" in capsys.readouterr().out
+    for config, argv, shown, hidden in cases:
+        cfg.write_text(json.dumps(config))
+        rc = main(["--config", str(cfg)] + argv)
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert shown in out and hidden not in out, argv[0]
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

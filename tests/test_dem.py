@@ -68,7 +68,6 @@ def test_state_point_accounting():
     assert s.points_red == pytest.approx(0.2 + 0.3)
     assert s.points_white == pytest.approx(0.1 + 0.6 + 1.2)
     assert s.red_mass == pytest.approx(0.4)
-    assert s.low_points == pytest.approx(0.2 + 2 * 0.0)  # classes 0..2 of r
 
 
 # -- right-hand sides -------------------------------------------------------
@@ -166,23 +165,41 @@ def test_stage_two_red_pool_drains_at_rate_two(family):
     assert float(np.arange(5) @ end.r) == pytest.approx(p0 - 2 * T, abs=1e-12)
 
 
-@pytest.mark.parametrize("kind", ["two", "fallback"])
-def test_stage_two_rates_follow_the_pairing_model(kind):
-    # the simulation draws first points from red classes 1..top (1..ceil(d/2),
-    # or every red class in the fallback; class d is the untouched white
-    # pool) and second points from every unpaired point
-    d, top = 4, {"two": 2, "fallback": 3}[kind]
-    y = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
-    f = dem.rhs_phase2(d) if kind == "two" else dem.rhs_phase2_fallback(d)
-    p_first = sum(i * y[i] for i in range(1, top + 1))
-    p_all = sum(i * y[i] for i in range(d + 1))
-    rate = [(1 / p_first if i <= top else 0.0) + 1 / p_all for i in range(d + 1)]
-    out = [i * y[i] * rate[i] for i in range(d + 1)]
-    want = [out[i + 1] - out[i] for i in range(d)] + [-out[d]]
-    assert f(0.0, y) == pytest.approx(want, abs=1e-14)
+@pytest.mark.parametrize("kind", ["one", "two", "fallback"])
+def test_leg_rates_follow_the_pairing_model(kind):
+    # the simulation's rules on a d = 4 hand state: a first point uniform
+    # over the drawn pool, a second uniform over every unpaired point, and
+    # the owner of each point moves one point down. Stage one draws from
+    # every red class and a hit white keeps its colour; stage two draws
+    # from red classes 1..top (1..ceil(d/2), or every red class in the
+    # fallback) and a hit white (class d, the untouched pool) turns red.
+    d = 4
+    if kind == "one":  # [r_0..r_3, z_0..z_4]
+        cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
+        y = np.array([0.05, 0.1, 0.05, 0.02, 0.01, 0.02, 0.03, 0.04, 0.6])
+        drawn = lambda c, i: c == "red"
+    else:  # [r_0..r_4]
+        top = {"two": 2, "fallback": 3}[kind]
+        cls = [("red", i) for i in range(d)] + [("white", d)]
+        y = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
+        drawn = lambda c, i: c == "red" and i <= top
+    p_first = sum(i * v for (c, i), v in zip(cls, y) if drawn(c, i))
+    p_all = sum(i * v for (c, i), v in zip(cls, y))
+    want = np.zeros(y.size)
+    for a, ((c, i), v) in enumerate(zip(cls, y)):
+        if i == 0:
+            continue
+        flow = i * v * ((1 / p_first if drawn(c, i) else 0.0) + 1 / p_all)
+        want[a] -= flow
+        want[cls.index((c if kind == "one" else "red", i - 1))] += flow
+    rhs = {"one": dem.rhs_phase1, "two": dem.rhs_phase2,
+           "fallback": dem.rhs_phase2_fallback}[kind]
+    assert rhs(d)(0.0, y) == pytest.approx(want.tolist(), abs=1e-14)
     # the readout's backward pass draws first points from the same pool
     _, _, first = dem._leg_layout(d, kind)
-    assert first[1:].tolist() == [1.0] * top + [0.0] * (d - top)
+    assert [f for f, (c, i) in zip(first, cls) if i > 0] == [
+        float(drawn(c, i)) for c, i in cls if i > 0
+    ]
 
 
 # -- transitions ------------------------------------------------------------

@@ -8,8 +8,18 @@ import pytest
 from vbisect.integrate import Event, solve_adaptive, solve_fixed
 
 
+SOLVERS = ("adaptive", "fixed")
+
+
 def _harmonic(t, y):
     return np.array([y[1], -y[0]])
+
+
+def _solve(solver, f, t0, y0, t_end, events=(), h=0.01, **kw):
+    """One entry point of the driver: DP54, or RK4 at step h."""
+    if solver == "adaptive":
+        return solve_adaptive(f, t0, y0, t_end, events, **kw)
+    return solve_fixed(f, t0, y0, t_end, h, events, **kw)
 
 
 def test_adaptive_exponential_decay():
@@ -59,9 +69,10 @@ def test_event_direction_filter(direction, expected_t):
     """sin(t) from t=0.5: the falling zero is at pi, the rising one at 2*pi."""
     y0 = np.array([math.sin(0.5), math.cos(0.5)])
     ev = Event(lambda t, y: y[0], direction=direction, name="zero")
-    res = solve_adaptive(_harmonic, 0.5, y0, 10.0, [ev])
-    assert res.status == "event"
-    assert abs(res.t - expected_t) < 1e-7
+    for solver in SOLVERS:
+        res = _solve(solver, _harmonic, 0.5, y0, 10.0, [ev])
+        assert res.status == "event", solver
+        assert abs(res.t - expected_t) < 1e-7, solver
 
 
 def test_earlier_event_wins():
@@ -69,31 +80,41 @@ def test_earlier_event_wins():
         Event(lambda t, y: t - 0.7, name="late"),
         Event(lambda t, y: t - 0.5, name="early"),
     ]
-    res = solve_adaptive(lambda t, y: np.array([1.0]), 0.0, np.array([0.0]), 2.0, evs)
-    assert res.event == "early"
-    assert abs(res.t - 0.5) < 1e-8
+    one = lambda t, y: np.array([1.0])
+    for solver in SOLVERS:  # the fixed grid's first step crosses both
+        res = _solve(solver, one, 0.0, np.array([0.0]), 2.0, evs, h=1.0)
+        assert res.event == "early", solver
+        assert abs(res.t - 0.5) < 1e-8, solver
 
 
 def test_no_event_fires_at_leg_start():
     # g == 0 exactly at t0 and decreasing afterwards; a falling crossing
     # needs g > 0 strictly before the step, so the leg runs to t_end
     ev = Event(lambda t, y: y[0] - 1.0, direction=-1, name="at_start")
-    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, [ev])
-    assert res.status == "t_end"
-    assert res.event is None
+    for solver in SOLVERS:
+        res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1.0, [ev])
+        assert res.status == "t_end", solver
+        assert res.event is None, solver
 
 
 def test_max_steps_reported():
-    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 100.0, max_steps=5)
-    assert res.status == "max_steps"
+    # the cap counts attempted steps; the rate jump at t = 0.01 makes the
+    # adaptive stepper reject some before it is reached
+    f = lambda t, y: -y if t < 0.01 else -1e3 * y
+    for solver in SOLVERS:
+        res = _solve(solver, f, 0.0, np.array([1.0]), 100.0, max_steps=10)
+        assert res.status == "max_steps", solver
+        assert res.n_steps + res.n_rejected == 10, solver
 
 
 def test_keep_every_records_path():
-    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1.0, keep_every=1)
-    ts = [t for t, _ in res.path]
-    assert ts[0] == 0.0
-    assert ts[-1] == res.t
-    assert all(a < b for a, b in zip(ts, ts[1:]))
+    for solver in SOLVERS:
+        res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1.0, keep_every=1,
+                     h=0.3)
+        ts = [t for t, _ in res.path]
+        assert ts[0] == 0.0, solver
+        assert ts[-1] == res.t == 1.0, solver
+        assert all(a < b for a, b in zip(ts, ts[1:])), solver
 
 
 def test_fixed_event_and_path():
@@ -109,6 +130,7 @@ def test_fixed_event_and_path():
 
 def test_rounding_remainder_of_the_span_counts_as_arrival():
     # a span below the step-size floor is arrival at t_end, not an underflow
-    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1e-20)
-    assert res.status == "t_end"
-    assert res.y[0] == 1.0
+    for solver in SOLVERS:
+        res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1e-20)
+        assert res.status == "t_end", solver
+        assert res.y[0] == 1.0, solver
