@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: gen, alg1, balls, simulate, dem, report. A JSON config file
-(--config) supplies defaults for any long flag; explicit flags win. Exit
-status 0 on success, 2 on a validation problem.
+(--config) sets the defaults of the chosen subcommand's options, so
+explicit flags win. Exit status 0 on success, 2 on a validation problem.
 """
 
 from __future__ import annotations
@@ -35,7 +35,8 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "workers": dict(type=int, default=1, help="process pool size"),
         "strategy": dict(type=str, default="rematch",
                          choices=("rematch", "restart"),
-                         help="simple-graph sampling strategy"),
+                         help="simple-graph sampling strategy: restart is"
+                              " uniform, rematch is faster but not uniform"),
         "mode": dict(type=str, default="adaptive",
                      choices=("adaptive", "fixed"), help="stage-two integrator mode"),
         "snapshot_every": dict(type=int, default=0,
@@ -46,7 +47,8 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         parser.add_argument(flag, dest=name, **opts[name])
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="vbisect",
         description="Vertex bisection width upper bounds for random regular graphs.",
@@ -80,37 +82,29 @@ def build_parser() -> argparse.ArgumentParser:
                    help="records CSVs from other commands")
     _add(p, "out")
 
-    return parser
+    return parser, sub.choices
 
 
-def _apply_config(
-    parser: argparse.ArgumentParser, args: argparse.Namespace, argv: list[str]
-) -> None:
-    if not args.config:
-        return
+def _config_defaults(args: argparse.Namespace) -> dict:
+    """The config file's values for the options of the chosen subcommand."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    # an option's dest is not its flag (--d stores to d_list on dem)
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    opts = {**parser._option_string_actions,
-            **sub.choices[args.command]._option_string_actions}
-    flags = (tok.split("=", 1)[0] for tok in argv)
-    explicit = {opts[flag].dest for flag in flags if flag in opts}
-    for key, value in cfg.items():
-        dest = key.replace("-", "_")
-        if dest in explicit or not hasattr(args, dest):
-            continue
-        setattr(args, dest, value)
+    options = _config_dict(args)
+    cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
+    return {key: value for key, value in cfg.items() if key in options}
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(parser, args, argv)
+        if args.config:
+            # as defaults, config values lose to any flag argparse parsed
+            subparsers[args.command].set_defaults(**_config_defaults(args))
+            args = parser.parse_args(argv)
         return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

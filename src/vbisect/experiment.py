@@ -1,9 +1,11 @@
 """Sweep drivers, result persistence, and report rendering.
 
-Every stochastic run gets a composite seed string "base:...:indices" from
-which its generator chain is rederived, so any record replays bit-exact.
-Records append to CSV; each command invocation can also drop a JSON
-manifest (command, config, seeds, code version) next to them.
+A record holds the whole config of one run in its own columns, with a
+composite seed string "base:...:indices" from which the run's generator
+chain is rederived. Every sweep runs its records through `run_record`, and
+replay runs a stored record through it again, so any record replays
+bit-exact. Records append to CSV; each command invocation can also drop a
+JSON manifest (command, config, seeds, code version) next to them.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import csv
 import json
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,17 +35,28 @@ class RunRecord:
     seed: str  # composite "base:...:indices"; empty for deterministic runs
     r0_offset: int  # 0 when not applicable
     eps: float  # 0 when not applicable
-    alpha: float
-    width: int
-    wall_time_ms: float
-    flags: str = ""
+    # outcome of the run, filled in by run_record
+    alpha: float = 0.0
+    width: int = 0
+    wall_time_ms: float = 0.0
+    flags: str = ""  # what the run reported, ";"-joined
     stop_fraction: float = 0.5
+    strategy: str = ""  # alg1: graph sampling strategy
+    promote_fully_paired: bool = True  # sim: promotion variant
+    mode: str = ""  # dem: stage-two integrator mode
+    steps: int = 0  # dem: fixed-mode step budget
 
 
-# CSV columns in file order; floats are written with repr, so they read
-# back exactly
+def _parse_bool(text: str) -> bool:
+    if text not in ("True", "False"):
+        raise ValueError(f"not a bool: {text!r}")
+    return text == "True"
+
+
+# CSV columns in file order; the header is the schema. Floats are written
+# with repr, so they read back exactly
 RECORD_FIELDS = [f.name for f in fields(RunRecord)]
-_PARSE = {"int": int, "float": float, "str": str}
+_PARSE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
 
 
 def _child_seed(base: int, *key: int) -> int:
@@ -72,7 +85,7 @@ def records_to_csv(records, path, append: bool = True) -> None:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
         if header != RECORD_FIELDS:
-            raise ValueError(f"cannot append to {path}: columns {header}")
+            raise ValueError(f"cannot append to {path}: {_layout_error(header)}")
     mode = "a" if append else "w"
     with open(path, mode, newline="") as fh:
         writer = csv.writer(fh)
@@ -84,11 +97,16 @@ def records_to_csv(records, path, append: bool = True) -> None:
             )
 
 
+def _layout_error(header) -> str:
+    return (f"written with another column layout (columns {header});"
+            f" expected columns {RECORD_FIELDS}")
+
+
 def records_from_csv(path) -> list[RunRecord]:
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames != RECORD_FIELDS:
-            raise ValueError(f"unexpected columns in {path}: {reader.fieldnames}")
+            raise ValueError(f"{path}: {_layout_error(reader.fieldnames)}")
         cols = [(f.name, _PARSE[f.type]) for f in fields(RunRecord)]
         return [RunRecord(**{k: parse(row[k]) for k, parse in cols}) for row in reader]
 
@@ -108,34 +126,76 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
     return path
 
 
-# -- greedy sweeps ---------------------------------------------------------
+# -- running records -------------------------------------------------------
 
 
-def _alg1_job(g: RegularGraph, base: int, gi: int, ri: int, r0_offset: int,
-              stop_fraction: float) -> RunRecord:
-    run_seed = _child_seed(base, 2, gi, ri)
+def _graph(n: int, d: int, base: int, gi: int, strategy: str) -> RegularGraph:
+    """Graph gi of an alg1 sweep with base seed base."""
+    return gen_regular(n, d, seed=_child_seed(base, 1, gi), strategy=strategy)
+
+
+def run_record(rec: RunRecord, g: RegularGraph | None = None,
+               snapshot_every: int = 0):
+    """Run the config in a record's columns; return the record with its
+    outcome (alpha, width, wall_time_ms, flags; for dem also the resolved
+    eps) filled in, and the run's trace: the GreedyTrace (alg1), both
+    SimTraces (sim) or the DemRunResult (dem). alg1 runs on g when given,
+    else on the graph drawn from the record's seed and strategy."""
     t0 = time.perf_counter()
-    bis, trace = run_alg1(
-        g,
-        GreedyConfig(
-            r0_offset=r0_offset, seed=run_seed, stop_fraction=stop_fraction
-        ),
-    )
+    if rec.method == "alg1":
+        base, gi, ri = map(int, rec.seed.split(":"))
+        if g is None:
+            g = _graph(rec.n, rec.d, base, gi, rec.strategy)
+        bis, trace = run_alg1(
+            g,
+            GreedyConfig(
+                r0_offset=rec.r0_offset,
+                seed=_child_seed(base, 2, gi, ri),
+                stop_fraction=rec.stop_fraction,
+            ),
+        )
+        alpha, width = bis.alpha, bis.width
+        flags = ["exhaustion_fallback"] if trace.exhaustion_fallback else []
+    elif rec.method == "sim":
+        base, si = map(int, rec.seed.split(":"))
+        state, trace2 = run_alg2(
+            rec.n,
+            rec.d,
+            seed=_child_seed(base, 3, si),
+            promote_fully_paired=rec.promote_fully_paired,
+            stop_fraction=rec.stop_fraction,
+            snapshot_every=snapshot_every,
+        )
+        alpha, trace3 = run_alg3(
+            state,
+            seed=_child_seed(base, 4, si),
+            stop_fraction=rec.stop_fraction,
+            snapshot_every=snapshot_every,
+        )
+        width = round(alpha * rec.n * rec.stop_fraction)
+        trace = (trace2, trace3)
+        flags = trace2.flags + trace3.flags
+    elif rec.method == "dem":
+        trace = dem_mod.run_dem(
+            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps
+        )
+        rec = replace(rec, eps=trace.eps)
+        alpha, width, flags = trace.alpha_upper, 0, trace.flags
+    else:
+        raise ValueError(f"unknown method {rec.method!r}")
     ms = (time.perf_counter() - t0) * 1000.0
-    flags = "exhaustion_fallback" if trace.exhaustion_fallback else ""
-    return RunRecord(
-        method="alg1",
-        d=g.d,
-        n=g.n,
-        seed=f"{base}:{gi}:{ri}",
-        r0_offset=r0_offset,
-        eps=0.0,
-        alpha=bis.alpha,
-        width=bis.width,
-        wall_time_ms=ms,
-        flags=flags,
-        stop_fraction=stop_fraction,
-    )
+    rec = replace(rec, alpha=alpha, width=width, wall_time_ms=ms,
+                  flags=";".join(flags))
+    return rec, trace
+
+
+def replay_record(rec: RunRecord) -> float:
+    """Re-execute a record from its columns; returns the fresh alpha
+    (equal to rec.alpha for an intact record)."""
+    return run_record(rec)[0].alpha
+
+
+# -- greedy sweeps ---------------------------------------------------------
 
 
 def cmd_alg1(
@@ -153,26 +213,20 @@ def cmd_alg1(
 ):
     """graphs fresh graphs x runs greedy executions; per-graph avg/max/min
     plus the grand mean, deterministically ordered."""
-    gs = [
-        gen_regular(n, d, seed=_child_seed(seed, 1, gi), strategy=strategy)
-        for gi in range(graphs)
-    ]
-    jobs = [(gi, ri) for gi in range(graphs) for ri in range(runs)]
+    jobs = []
+    for gi in range(graphs):
+        g = _graph(n, d, seed, gi, strategy)
+        jobs += [
+            (RunRecord("alg1", d, n, f"{seed}:{gi}:{ri}", r0_offset, 0.0,
+                       stop_fraction=stop_fraction, strategy=strategy), g)
+            for ri in range(runs)
+        ]
     if workers > 1 and len(jobs) > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = {
-                pool.submit(
-                    _alg1_job, gs[gi], seed, gi, ri, r0_offset, stop_fraction
-                ): (gi, ri)
-                for gi, ri in jobs
-            }
-            records = [f.result() for f in concurrent.futures.as_completed(futs)]
+            done = list(pool.map(run_record, *zip(*jobs)))
     else:
-        records = [
-            _alg1_job(gs[gi], seed, gi, ri, r0_offset, stop_fraction)
-            for gi, ri in jobs
-        ]
-    records.sort(key=lambda r: (r.d, r.n, r.seed))
+        done = [run_record(rec, g) for rec, g in jobs]
+    records = sorted((rec for rec, _ in done), key=lambda r: (r.d, r.n, r.seed))
 
     per_graph = []
     for gi in range(graphs):
@@ -249,35 +303,18 @@ def cmd_dem(
     """run_dem per degree plus deviation from the frozen reference value."""
     records, rows = [], []
     for d in d_list:
-        t0 = time.perf_counter()
-        result = dem_mod.run_dem(
-            d, eps, stop_fraction, mode=mode, steps=steps
+        rec, result = run_record(
+            RunRecord("dem", d, 0, "", 0, eps, stop_fraction=stop_fraction,
+                      mode=mode, steps=steps)
         )
-        ms = (time.perf_counter() - t0) * 1000.0
         ref = _dem_reference(d)
-        dev = None if ref is None else result.alpha_upper - ref
-        flags = ";".join(result.flags + [f"mode={mode}", f"steps={steps}"])
-        records.append(
-            RunRecord(
-                method="dem",
-                d=d,
-                n=0,
-                seed="",
-                r0_offset=0,
-                eps=result.eps,
-                alpha=result.alpha_upper,
-                width=0,
-                wall_time_ms=ms,
-                flags=flags,
-                stop_fraction=stop_fraction,
-            )
-        )
+        records.append(rec)
         rows.append(
             {
                 "d": d,
-                "alpha": result.alpha_upper,
+                "alpha": rec.alpha,
                 "reference": ref,
-                "deviation": dev,
+                "deviation": None if ref is None else rec.alpha - ref,
                 "phases": result.phase_count,
                 "flags": result.flags,
             }
@@ -304,49 +341,20 @@ def cmd_simulate(
     """Both simulation stages per seed; emits mean/stddev and optional
     trace CSVs."""
     records = []
-    alphas = []
     for si in range(seeds):
-        t0 = time.perf_counter()
-        state, trace2 = run_alg2(
-            n,
-            d,
-            seed=_child_seed(seed, 3, si),
-            promote_fully_paired=promote_fully_paired,
-            stop_fraction=stop_fraction,
+        rec, (trace2, trace3) = run_record(
+            RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0,
+                      stop_fraction=stop_fraction,
+                      promote_fully_paired=promote_fully_paired),
             snapshot_every=snapshot_every,
         )
-        alpha, trace3 = run_alg3(
-            state,
-            seed=_child_seed(seed, 4, si),
-            stop_fraction=stop_fraction,
-            snapshot_every=snapshot_every,
-        )
-        ms = (time.perf_counter() - t0) * 1000.0
-        width = round(alpha * n * stop_fraction)
-        flags = trace2.flags + trace3.flags
-        if not promote_fully_paired:
-            flags.append("literal_promotion")
-        records.append(
-            RunRecord(
-                method="sim",
-                d=d,
-                n=n,
-                seed=f"{seed}:{si}",
-                r0_offset=0,
-                eps=0.0,
-                alpha=alpha,
-                width=width,
-                wall_time_ms=ms,
-                flags=";".join(flags),
-                stop_fraction=stop_fraction,
-            )
-        )
-        alphas.append(alpha)
+        records.append(rec)
         if out is not None and snapshot_every:
             out_dir = Path(out)
             out_dir.mkdir(parents=True, exist_ok=True)
             trace2.to_csv(out_dir / f"trace_growth_d{d}_s{si}.csv")
             trace3.to_csv(out_dir / f"trace_balance_d{d}_s{si}.csv")
+    alphas = [r.alpha for r in records]
     stats = {
         "mean": statistics.fmean(alphas) if alphas else float("nan"),
         "std": statistics.stdev(alphas) if len(alphas) > 1 else 0.0,
@@ -357,46 +365,7 @@ def cmd_simulate(
     return records, stats
 
 
-# -- replay and report -----------------------------------------------------
-
-
-def replay_record(rec: RunRecord, *, strategy: str = "rematch") -> float:
-    """Re-execute a record from its stored seed; returns the fresh alpha
-    (equal to rec.alpha for an intact record)."""
-    if rec.method == "alg1":
-        base, gi, ri = map(int, rec.seed.split(":"))
-        g = gen_regular(rec.n, rec.d, seed=_child_seed(base, 1, gi), strategy=strategy)
-        bis, _ = run_alg1(
-            g,
-            GreedyConfig(
-                r0_offset=rec.r0_offset,
-                seed=_child_seed(base, 2, gi, ri),
-                stop_fraction=rec.stop_fraction,
-            ),
-        )
-        return bis.alpha
-    if rec.method == "sim":
-        base, si = map(int, rec.seed.split(":"))
-        promote = "literal_promotion" not in rec.flags
-        state, _ = run_alg2(
-            rec.n, rec.d, seed=_child_seed(base, 3, si),
-            promote_fully_paired=promote, stop_fraction=rec.stop_fraction,
-        )
-        alpha, _ = run_alg3(
-            state, seed=_child_seed(base, 4, si), stop_fraction=rec.stop_fraction
-        )
-        return alpha
-    if rec.method == "dem":
-        mode = "fixed" if "mode=fixed" in rec.flags else "adaptive"
-        steps = 10**6
-        for part in rec.flags.split(";"):
-            if part.startswith("steps="):
-                steps = int(part.split("=", 1)[1])
-        result = dem_mod.run_dem(
-            rec.d, rec.eps, rec.stop_fraction, mode=mode, steps=steps
-        )
-        return result.alpha_upper
-    raise ValueError(f"unknown method {rec.method!r}")
+# -- report ----------------------------------------------------------------
 
 
 def cmd_report(records) -> tuple[str, list[dict]]:

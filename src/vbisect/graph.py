@@ -133,11 +133,12 @@ def gen_regular(
 ) -> RegularGraph:
     """Sample a d-regular graph on n vertices from the uniform pairing.
 
-    simple=True conditions on no loops or parallel edges. Two strategies do
-    that: "rematch" re-pairs only the defective stubs and restarts on the
-    rare dead end (fast at any scale); "restart" redraws the entire pairing
-    until a simple one appears, which is exact rejection sampling but only
-    practical for small d. Both raise RuntimeError at max_restarts.
+    simple=True asks for no loops or parallel edges. "restart" redraws the
+    entire pairing until a simple one appears: exact rejection sampling, so
+    uniform, but only practical for small d. "rematch" re-pairs only the
+    defective stubs and restarts on the rare dead end (fast at any scale)
+    but is biased: K_{3,3} makes 0.152 of 6-vertex cubic graphs against
+    1/7. Both raise RuntimeError at max_restarts.
     """
     _check_params(n, d)
     rng = np.random.default_rng(seed)

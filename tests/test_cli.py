@@ -108,12 +108,17 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
 
 
 def test_explicit_flag_beats_config(tmp_path, capsys):
-    # --d on dem and --n on balls store to d_list and n_list
+    # --d on dem and --n on balls store to d_list and n_list; --se is an
+    # abbreviation of --seed; a config key "command" names no option
     cases = [
         ({"n": 60}, ["gen", "--d", "3", "--n", "40", "--seed", "0",
                      "--out", str(tmp_path)], "n40", "n60"),
         ({"d_list": [5]}, ["dem", "--d", "4"], "\n4,", "\n5,"),
         ({"n_list": [500]}, ["balls", "--d", "3", "--n", "1000"], "\n1000,", "\n500,"),
+        ({"seed": 5}, ["gen", "--d", "3", "--n", "20", "--se", "1",
+                       "--out", str(tmp_path)], "s1.txt", "s5.txt"),
+        ({"command": "balls"}, ["gen", "--d", "3", "--n", "20",
+                                "--out", str(tmp_path)], "n20_s0", "B0"),
     ]
     cfg = tmp_path / "cfg.json"
     for config, argv, shown, hidden in cases:

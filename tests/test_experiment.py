@@ -26,8 +26,8 @@ def _sample_records():
         RunRecord("alg1", 4, 100, "0:1:2", 2, 0.0, 0.5, 25, 12.5, ""),
         RunRecord("sim", 4, 200, "7:0", 0, 0.0, 0.625, 62, 80.0,
                   "l_exhausted;balance_trim"),
-        RunRecord("dem", 5, 0, "", 0, 1e-5, 0.61680, 0, 950.0,
-                  "mode=adaptive;steps=1000000"),
+        RunRecord("dem", 5, 0, "", 0, 1e-5, 0.61680, 0, 950.0, "",
+                  mode="adaptive", steps=10**6),
     ]
 
 
@@ -73,6 +73,14 @@ def test_csv_rejects_foreign_header(tmp_path):
     # appending rows under another header would make the file unreadable
     with pytest.raises(ValueError, match="columns"):
         records_to_csv(_sample_records(), path)
+
+
+def test_csv_rejects_a_bool_cell_other_than_true_or_false(tmp_path):
+    path = tmp_path / "records.csv"
+    records_to_csv(_sample_records()[:1], path)
+    path.write_text(path.read_text().replace(",True,", ",yes,"))
+    with pytest.raises(ValueError, match="bool"):
+        records_from_csv(path)
 
 
 def test_manifest_contents(tmp_path):
@@ -133,7 +141,7 @@ def test_dem_sweep_records(tmp_path):
     assert rec.method == "dem" and rec.n == 0 and rec.eps == 1e-5
     assert row["reference"] == reference.FLUID_ALPHA[4]
     assert row["deviation"] == pytest.approx(rec.alpha - reference.FLUID_ALPHA[4])
-    assert "mode=adaptive" in rec.flags and "steps=1000000" in rec.flags
+    assert rec.mode == "adaptive" and rec.steps == 10**6
     assert (tmp_path / "records.csv").exists()
 
 
@@ -169,18 +177,27 @@ def test_dem_records_replay_bit_exact():
     assert replay_record(records[0]) == records[0].alpha
 
 
-def test_non_default_configs_replay_bit_exact():
-    # stop_fraction is a record column and the literal promotion a flag;
-    # each of these alphas differs from the one the default config gives
+def test_non_default_configs_replay_bit_exact(tmp_path):
+    # each of these alphas differs from the one the default config gives;
+    # replay reads the config from the columns a CSV round trip gives back
     records = [
         cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, stop_fraction=0.3)[0][0],
+        cmd_alg1(3, n=60, runs=2, graphs=2, seed=4, strategy="restart")[0][1],
+        cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, r0_offset=1)[0][0],
         cmd_simulate(4, n=300, seeds=1, seed=9, stop_fraction=0.3)[0][0],
         cmd_simulate(3, n=2000, seeds=1, seed=9, promote_fully_paired=False)[0][0],
         cmd_dem([4], stop_fraction=0.3)[0][0],
+        cmd_dem([4], mode="fixed", steps=20_000)[0][0],
     ]
-    assert [r.stop_fraction for r in records] == [0.3, 0.3, 0.5, 0.3]
-    assert "literal_promotion" in records[2].flags
-    for rec in records:
+    path = tmp_path / "records.csv"
+    records_to_csv(records, path)
+    stored = records_from_csv(path)
+    assert stored == records
+    assert [r.stop_fraction for r in stored] == [0.3, 0.5, 0.5, 0.3, 0.5, 0.3, 0.5]
+    assert stored[1].strategy == "restart" and stored[2].r0_offset == 1
+    assert stored[4].promote_fully_paired is False
+    assert (stored[6].mode, stored[6].steps) == ("fixed", 20_000)
+    for rec in stored:
         assert replay_record(rec) == rec.alpha
 
 

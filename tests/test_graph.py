@@ -4,6 +4,8 @@ The named-graph answers here were computed by hand and by an independent
 subset-enumeration script before being frozen.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -169,6 +171,20 @@ def test_gen_regular_simple_output(strategy):
         row = g.adjacency[u]
         assert u not in row
         assert len(set(row.tolist())) == g.d
+
+
+def test_restart_sampler_is_uniform():
+    # K_{3,3} is 10 of the 70 labelled cubic graphs on 6 vertices; the
+    # other 60 are prisms, the only ones with triangles
+    draws, share = 20_000, 1 / 7
+    hits = 0
+    for seed in range(draws):
+        g = gen_regular(6, 3, seed=seed, strategy="restart")
+        a = np.zeros((6, 6), dtype=np.int64)
+        a[np.repeat(np.arange(6), 3), g.adjacency.ravel()] = 1
+        hits += np.trace(a @ a @ a) == 0
+    z = (hits / draws - share) / math.sqrt(share * (1 - share) / draws)
+    assert abs(z) < 4, (hits / draws, z)
 
 
 def test_gen_regular_multigraph_pass():
