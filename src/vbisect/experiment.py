@@ -22,7 +22,7 @@ import numpy as np
 
 from . import dem as dem_mod
 from . import reference
-from .graph import RegularGraph, ball_sizes, gen_regular
+from .graph import RegularGraph, ball_sizes, critical_balls, gen_regular
 from .greedy import GreedyConfig, run_alg1
 from .pairing import run_alg2, run_alg3
 
@@ -264,14 +264,7 @@ def cmd_balls(d: int, n_list, seed: int = 0, *, strategy: str = "rematch", out=N
         g = gen_regular(n, d, seed=_child_seed(seed, 5, i), strategy=strategy)
         rng = np.random.default_rng(_child_seed(seed, 6, i))
         x0 = int(rng.integers(n))
-        sizes = ball_sizes(g, x0)
-        over = np.flatnonzero(sizes > n / 2)
-        r_crit = int(over[0]) if over.size else len(sizes) - 1
-
-        def at(r):
-            return 0 if r < 0 else int(sizes[min(r, len(sizes) - 1)])
-
-        rows.append((n, at(r_crit - 2), at(r_crit - 1), at(r_crit)))
+        rows.append((n, *critical_balls(ball_sizes(g, x0), n / 2)[1:]))
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -168,7 +168,7 @@ def gen_regular(
 def ball_layers(g: RegularGraph, x0: int) -> list[np.ndarray]:
     """BFS layers from x0: [ [x0], N(x0), ... ] until the graph is exhausted.
 
-    Unreached vertices (disconnected multigraphs) are simply absent.
+    Vertices outside the component of x0 are absent.
     """
     visited = np.zeros(g.n, dtype=bool)
     visited[x0] = True
@@ -185,19 +185,22 @@ def ball_layers(g: RegularGraph, x0: int) -> list[np.ndarray]:
     return layers
 
 
-def ball_sizes(g: RegularGraph, x0: int, r_max: int | None = None) -> np.ndarray:
-    """Cumulative ball sizes |B(x0, r)| for r = 0, 1, ... (stops growing at
-    the graph's eccentricity; r_max pads/truncates to a fixed length)."""
-    layers = ball_layers(g, x0)
-    sizes = np.cumsum([len(layer) for layer in layers])
-    if r_max is not None:
-        if len(sizes) > r_max + 1:
-            sizes = sizes[: r_max + 1]
-        elif len(sizes) < r_max + 1:
-            sizes = np.concatenate(
-                [sizes, np.full(r_max + 1 - len(sizes), sizes[-1], dtype=sizes.dtype)]
-            )
-    return sizes
+def ball_sizes(g: RegularGraph, x0: int) -> np.ndarray:
+    """Cumulative ball sizes |B(x0, r)| for r = 0, 1, ... up to the
+    eccentricity of x0."""
+    return np.cumsum([len(layer) for layer in ball_layers(g, x0)])
+
+
+def critical_balls(sizes: np.ndarray, target: float) -> tuple[int, int, int, int]:
+    """(r, |B(r-2)|, |B(r-1)|, |B(r)|) for the cumulative ball sizes of
+    `ball_sizes`, r being the smallest radius whose ball exceeds target;
+    a ball of negative radius is empty. A connected component no larger
+    than the target never crosses, so its full radius counts as critical.
+    """
+    over = np.flatnonzero(sizes > target)
+    r = int(over[0]) if over.size else len(sizes) - 1
+    ball = np.concatenate([[0, 0], sizes])  # ball[k] = |B(k - 2)|
+    return r, int(ball[r]), int(ball[r + 1]), int(ball[r + 2])
 
 
 def _red_mask(n: int, red) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Bisection, RegularGraph, ball_layers, bisection_of
+from .graph import Bisection, RegularGraph, ball_layers, bisection_of, critical_balls
 
 
 @dataclass
@@ -46,6 +46,8 @@ def run_alg1(
     g: RegularGraph, config: GreedyConfig | None = None
 ) -> tuple[Bisection, GreedyTrace]:
     cfg = config or GreedyConfig()
+    if not g.simple:
+        raise ValueError("the greedy search needs a simple graph")
     if cfg.r0_offset not in (1, 2):
         raise ValueError("r0_offset must be 1 or 2")
     if not 0.0 < cfg.stop_fraction <= 0.5:
@@ -56,17 +58,10 @@ def run_alg1(
 
     target = int(n * cfg.stop_fraction)
     layers = ball_layers(g, x0)
-    sizes = np.cumsum([len(layer) for layer in layers])
-    over = np.flatnonzero(sizes > n * cfg.stop_fraction)
-    # a connected component smaller than the target never crosses; treat its
-    # full radius as critical and let the fallback fill the rest
-    r_crit = int(over[0]) if over.size else len(sizes) - 1
-
-    def ball_at(r: int) -> int:
-        if r < 0:
-            return 0
-        return int(sizes[min(r, len(sizes) - 1)])
-
+    # in a component no larger than the target, the fallback fills the rest
+    r_crit, b0, b1, b2 = critical_balls(
+        np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction
+    )
     r0 = r_crit - cfg.r0_offset
     color = bytearray(n)
     size_red = 0
@@ -76,16 +71,14 @@ def run_alg1(
         size_red += len(layer)
 
     adj = g.adjacency.tolist()
-    use_sets = not g.simple  # multigraph rows repeat; counts are per distinct vertex
 
-    # bucket queue over red vertices, keyed by distinct uncovered neighbors
+    # bucket queue over red vertices, keyed by uncovered neighbors
     cnt = [0] * n
     pos = [0] * n
     buckets: list[list[int]] = [[] for _ in range(d + 1)]
     for layer in layers[: r0 + 1]:
         for u in layer:
-            row = set(adj[u]) if use_sets else adj[u]
-            c = sum(1 for v in row if not color[v])
+            c = sum(1 for v in adj[u] if not color[v])
             cnt[u] = c
             pos[u] = len(buckets[c])
             buckets[c].append(u)
@@ -112,21 +105,17 @@ def run_alg1(
             break
         bj = buckets[j]
         v = bj[rng.randrange(len(bj))]
-        row_v = adj[v]
-        choices = [w for w in row_v if not color[w]]
-        if use_sets:
-            choices = list(dict.fromkeys(choices))
+        choices = [w for w in adj[v] if not color[w]]
         w = choices[rng.randrange(len(choices))]
 
         color[w] = 1
         size_red += 1
         steps += 1
-        row_w = set(adj[w]) if use_sets else adj[w]
         c_w = 0
-        for u in row_w:
-            if color[u] and u != w:
+        for u in adj[w]:
+            if color[u]:
                 bucket_move(u, cnt[u] - 1)
-            elif not color[u]:
+            else:
                 c_w += 1
         cnt[w] = c_w
         pos[w] = len(buckets[c_w])
@@ -142,9 +131,9 @@ def run_alg1(
     trace = GreedyTrace(
         x0=x0,
         r_crit=r_crit,
-        b0=ball_at(r_crit - 2),
-        b1=ball_at(r_crit - 1),
-        b2=ball_at(r_crit),
+        b0=b0,
+        b1=b1,
+        b2=b2,
         phase2_steps=steps,
         exhaustion_fallback=fallback,
     )

@@ -129,32 +129,29 @@ def _rk4(f: RhsFn):
     return (lambda t, y, h: (trial(t, y, h), h)), trial
 
 
-def _locate_event(step_fn, t0: float, y0: np.ndarray, h: float, ev: Event, g0: float):
-    """Bisect the step length until the crossing is bracketed within T_TOL.
+def _locate(trial, t0: float, y0: np.ndarray, h: float, fired, g0):
+    """Bisect the step of length h from (t0, y0) on "some fired event has
+    crossed" until the bracket is within T_TOL.
 
-    step_fn(h) must integrate from (t0, y0) by exactly h. Returns (t, y) at
-    the right end of the final bracket, so the fired condition holds there.
+    fired holds the (index, event) pairs that fired over the whole step, g0
+    the event values at its start. Returns (t, y, event) at the right end
+    of the final bracket, event being the first fired one that has crossed
+    there; one has, since trial(t0, y0, h) reproduces the accepted step.
     """
+
+    def crossed(dt: float, y: np.ndarray) -> list[Event]:
+        return [ev for i, ev in fired if ev.fired(g0[i], ev(t0 + dt, y))]
+
     lo, hi = 0.0, h
-    y_hi = step_fn(hi)
+    y_hi = trial(t0, y0, hi)
     while hi - lo > T_TOL:
         mid = 0.5 * (lo + hi)
-        y_mid = step_fn(mid)
-        if ev.fired(g0, ev(t0 + mid, y_mid)):
+        y_mid = trial(t0, y0, mid)
+        if crossed(mid, y_mid):
             hi, y_hi = mid, y_mid
         else:
             lo = mid
-    return t0 + hi, y_hi
-
-
-def _first_crossing(step_fn, t0, y0, h, fired_events, g_start):
-    """Earliest crossing among the events that fired on this step."""
-    best = None
-    for idx, ev in fired_events:
-        t_ev, y_ev = _locate_event(step_fn, t0, y0, h, ev, g_start[idx])
-        if best is None or t_ev < best[0]:
-            best = (t_ev, y_ev, ev)
-    return best
+    return t0 + hi, y_hi, crossed(hi, y_hi)[0]
 
 
 def _drive(stepper, t0, y0, t_end, h, events, max_steps, keep_every) -> IntResult:
@@ -193,13 +190,11 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps, keep_every) -> IntResul
         g_new = [ev(t_new, y_new) for ev in events]
         fired = [(i, ev) for i, ev in enumerate(events) if ev.fired(g[i], g_new[i])]
         if fired:
-            step_fn = lambda hh: trial(t, y, hh) if hh > 0 else y
-            t_ev, y_ev, ev = _first_crossing(step_fn, t, y, h, fired, g)
-            res.t, res.y = t_ev, y_ev
+            res.t, res.y, ev = _locate(trial, t, y, h, fired, g)
             res.status, res.event = "event", ev.name
             res.n_steps += 1
             if keep_every:
-                res.path.append((t_ev, y_ev.copy()))
+                res.path.append((res.t, res.y.copy()))
             return res
 
         t, y, g, h = t_new, y_new, g_new, h_next

@@ -86,6 +86,8 @@ class PairingState:
         "edge_count",
         "steps",
         "phase_count",
+        "_red",
+        "_white",
     )
 
     def __init__(self, n: int, d: int):
@@ -104,6 +106,10 @@ class PairingState:
         self.edge_count = 0
         self.steps = 0
         self.phase_count = 0
+        # (points per vertex, class list) for classes 1..d, in sampling order;
+        # the class lists are only ever mutated in place, so these stay valid
+        self._red = [(i, self.red_cls[i]) for i in range(1, d + 1)]
+        self._white = [(i, self.white_cls[i]) for i in range(1, d + 1)]
 
     # -- class bookkeeping -------------------------------------------------
 
@@ -132,38 +138,15 @@ class PairingState:
         else:
             self.points_white += new_free
 
-    def _sample_red_point(self, rng: random.Random, i_max: int) -> int:
-        """Vertex owning a uniform unpaired point among red classes 1..i_max."""
-        t = (
-            rng.randrange(self.points_red)
-            if i_max >= self.d
-            else rng.randrange(
-                sum(i * len(self.red_cls[i]) for i in range(1, i_max + 1))
-            )
-        )
-        for i in range(1, i_max + 1):
-            w = i * len(self.red_cls[i])
+    @staticmethod
+    def _owner(t: int, classes) -> int:
+        """Vertex owning unpaired point t of classes, numbering the points
+        class by class; a uniform t gives a uniform point."""
+        for i, members in classes:
+            w = i * len(members)
             if t < w:
-                return self.red_cls[i][t // i]
+                return members[t // i]
             t -= w
-        raise AssertionError("point totals out of sync")
-
-    def _sample_any_point(self, rng: random.Random) -> int:
-        """Vertex owning a uniform unpaired point, any color."""
-        t = rng.randrange(self.points_red + self.points_white)
-        if t < self.points_red:
-            for i in range(1, self.d + 1):
-                w = i * len(self.red_cls[i])
-                if t < w:
-                    return self.red_cls[i][t // i]
-                t -= w
-        else:
-            t -= self.points_red
-            for i in range(1, self.d + 1):
-                w = i * len(self.white_cls[i])
-                if t < w:
-                    return self.white_cls[i][t // i]
-                t -= w
         raise AssertionError("point totals out of sync")
 
     # -- exposure ----------------------------------------------------------
@@ -176,7 +159,11 @@ class PairingState:
         """
         undo = [(u, self.is_red[u], self.free[u])]
         self._move(u, self.is_red[u], self.free[u] - 1)
-        v = self._sample_any_point(rng)
+        t = rng.randrange(self.points_red + self.points_white)
+        if t < self.points_red:
+            v = self._owner(t, self._red)
+        else:
+            v = self._owner(t - self.points_red, self._white)
         v_red = self.is_red[v]
         undo.append((v, v_red, self.free[v]))
         self._move(v, 1 if (v_red or color_on_hit) else 0, self.free[v] - 1)
@@ -189,8 +176,16 @@ class PairingState:
     def expose_step(self, rng: random.Random, *, low_max: int | None = None,
                     color_on_hit: bool = False):
         """One process step: first point from the red classes (all of them,
-        or only 1..low_max), second from everything unpaired."""
-        u = self._sample_red_point(rng, self.d if low_max is None else low_max)
+        or only 1..low_max), second from everything unpaired. Returns None,
+        exposing nothing, when those red classes have no unpaired point."""
+        if low_max is None:
+            classes, total = self._red, self.points_red
+        else:
+            classes = self._red[:low_max]
+            total = sum(i * len(members) for i, members in classes)
+        if total == 0:
+            return None
+        u = self._owner(rng.randrange(total), classes)
         return self._expose_from(rng, u, color_on_hit)
 
     def undo_step(self, undo) -> None:
@@ -269,6 +264,8 @@ def run_alg2(
         raise ValueError("n*d must be even")
     if d < 3 or n <= d:
         raise ValueError("need d >= 3 and n > d")
+    if not 0.0 < stop_fraction <= 0.5:
+        raise ValueError("stop_fraction must be in (0, 0.5]")
     rng = random.Random(seed)
     st = PairingState(n, d)
     trace = SimTrace(n=n, d=d)
@@ -353,6 +350,8 @@ def run_alg3(
 
     Mutates state in place.
     """
+    if not 0.0 < stop_fraction <= 0.5:
+        raise ValueError("stop_fraction must be in (0, 0.5]")
     st = state
     n, d = st.n, st.d
     m = (d + 1) // 2
@@ -364,16 +363,12 @@ def run_alg3(
     if snapshot_every:
         trace.snapshot(st, phase)
     while st.size_red - len(st.red_cls[1]) < target:
-        low_points = sum(i * len(st.red_cls[i]) for i in range(1, m + 1))
-        if low_points > 0:
-            st.expose_step(rng, low_max=m, color_on_hit=True)
-        elif st.points_red > 0:
+        if st.expose_step(rng, low_max=m, color_on_hit=True) is None:
+            if st.expose_step(rng, color_on_hit=True) is None:
+                trace.flags.append("red_exhausted")
+                break
             if "l_exhausted" not in trace.flags:
                 trace.flags.append("l_exhausted")
-            st.expose_step(rng, color_on_hit=True)
-        else:
-            trace.flags.append("red_exhausted")
-            break
         if snapshot_every and st.steps % snapshot_every == 0:
             trace.snapshot(st, phase)
 

@@ -4,8 +4,8 @@ These are the published figures the package is validated against. They are
 inputs to tests and reports, never to the algorithms themselves.
 """
 
-# Fluid-limit upper bounds per degree (the d=9 entry was produced with the
-# larger seed 1e-4; run_dem defaults match).
+# Fluid-limit upper bounds per degree. run_dem seeds d=9 at 1e-4, where it
+# gives 0.88633; which seed produced the table is not known.
 FLUID_ALPHA = {
     4: 0.58103,
     5: 0.61018,

@@ -29,9 +29,12 @@ def test_gen_multigraph_flag(tmp_path, capsys):
 
 
 def test_invalid_parameters_exit_two(capsys):
-    rc = main(["gen", "--d", "3", "--n", "7"])
-    assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    simulate = ["simulate", "--d", "4", "--n", "1000", "--runs", "1"]
+    for argv in (["gen", "--d", "3", "--n", "7"],
+                 simulate + ["--stop-fraction", "0"],
+                 simulate + ["--stop-fraction", "0.7"]):
+        assert main(argv) == 2, argv
+        assert "error:" in capsys.readouterr().err
 
 
 def test_missing_records_file_exits_two(tmp_path, capsys):

@@ -159,7 +159,7 @@ def test_stage_two_red_pool_drains_at_rate_two(family):
     y0 = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
     f = dem.rhs_phase2(4) if family == "draw_low" else dem.rhs_phase2_fallback(4)
     T = 0.05
-    end, fired, raw = dem.integrate_phase(f, dem.DemState(4, y0.copy()), NEVER, t_max=T)
+    end, fired, raw = dem.integrate_phase(f, dem.DemState(4, y0.copy(), np.zeros(1)), NEVER, t_max=T)
     assert raw.status == "t_end"
     p0 = float(np.arange(5) @ y0)
     assert float(np.arange(5) @ end.r) == pytest.approx(p0 - 2 * T, abs=1e-12)
@@ -419,16 +419,3 @@ def test_partial_stop_fraction_run():
     res = dem.run_dem(4, 1e-3, stop_fraction=0.25)
     assert res.final_state.red_mass - res.final_state.r[1] >= 0.25 - 1e-8
 
-
-def test_trajectory_csv(tmp_path):
-    res = dem.run_dem(4, 1e-3, stop_fraction=0.05, keep_trajectory=True)
-    assert res.trajectory
-    path = tmp_path / "traj.csv"
-    dem.trajectory_to_csv(res, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "phase,t,var_name,value"
-    names = {line.split(",")[2] for line in lines[1:]}
-    assert {"r0", "z0", "z4"} <= names
-    stage2 = {line.split(",")[2] for line in lines[1:]
-              if int(line.split(",")[0]) >= res.phase_count}
-    assert "r4" in stage2 and "z0" not in stage2

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vbisect import experiment, reference
 from vbisect.experiment import (
@@ -199,6 +201,40 @@ def test_non_default_configs_replay_bit_exact(tmp_path):
     assert (stored[6].mode, stored[6].steps) == ("fixed", 20_000)
     for rec in stored:
         assert replay_record(rec) == rec.alpha
+
+
+@st.composite
+def _run_configs(draw):
+    """An unrun record of any method with a random config and seed."""
+    method = draw(st.sampled_from(["alg1", "sim", "dem"]))
+    d = draw(st.integers(3, 6))
+    stop_fraction = draw(st.floats(0.0, 0.5, exclude_min=True))
+    if method == "dem":
+        return RunRecord("dem", d, 0, "", 0, None, stop_fraction=stop_fraction,
+                         mode=draw(st.sampled_from(["adaptive", "fixed"])),
+                         steps=draw(st.sampled_from([2_000, 20_000])))
+    n = 2 * draw(st.integers(d + 1, 150))  # n*d even
+    base = draw(st.integers(0, 2**32 - 1))
+    if method == "sim":
+        return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0,
+                         stop_fraction=stop_fraction,
+                         promote_fully_paired=draw(st.booleans()))
+    # restart can run out of max_restarts above d = 4
+    strategy = draw(st.sampled_from(["rematch", "restart"] if d <= 4 else ["rematch"]))
+    gi, ri = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    return RunRecord("alg1", d, n, f"{base}:{gi}:{ri}", draw(st.integers(1, 2)), 0.0,
+                     stop_fraction=stop_fraction, strategy=strategy)
+
+
+@settings(max_examples=40, deadline=None)
+@given(config=_run_configs())
+def test_any_record_replays_bit_exact_after_a_csv_round_trip(tmp_path_factory, config):
+    rec, _ = experiment.run_record(config)
+    path = tmp_path_factory.mktemp("replay") / "records.csv"
+    records_to_csv([rec], path)
+    stored = records_from_csv(path)
+    assert stored == [rec]
+    assert replay_record(stored[0]) == rec.alpha
 
 
 def test_replay_rejects_unknown_method():

@@ -135,12 +135,6 @@ def test_cube_ball_sizes():
     assert ball_sizes(cube(), 0).tolist() == [1, 4, 7, 8]
 
 
-def test_ball_sizes_pad_and_truncate():
-    sizes = ball_sizes(cube(), 0, r_max=5)
-    assert sizes.tolist() == [1, 4, 7, 8, 8, 8]
-    assert ball_sizes(cube(), 0, r_max=1).tolist() == [1, 4]
-
-
 def test_ball_layers_partition_component():
     layers = ball_layers(cube(), 3)
     assert sorted(v for layer in layers for v in layer) == list(range(8))

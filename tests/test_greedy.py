@@ -98,6 +98,8 @@ def test_config_validation():
         run_alg1(g, GreedyConfig(stop_fraction=0.0))
     with pytest.raises(ValueError):
         run_alg1(g, GreedyConfig(stop_fraction=0.6))
+    with pytest.raises(ValueError):  # the greedy needs a simple graph
+        run_alg1(gen_regular(10, 3, seed=0, simple=False))
 
 
 def test_offset_one_uses_larger_seed_ball():

@@ -155,6 +155,12 @@ def test_validation():
         run_alg2(100, 2, seed=0)
     with pytest.raises(ValueError):
         run_alg2(4, 4, seed=0)
+    state, _ = run_alg2(1000, 4, seed=0)
+    for stop_fraction in (0.0, 0.7, -0.5):
+        with pytest.raises(ValueError, match="stop_fraction"):
+            run_alg2(1000, 4, seed=0, stop_fraction=stop_fraction)
+        with pytest.raises(ValueError, match="stop_fraction"):
+            run_alg3(state, seed=1, stop_fraction=stop_fraction)
 
 
 def test_snapshot_rows_and_csv(tmp_path):
