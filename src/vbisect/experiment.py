@@ -42,7 +42,7 @@ class RunRecord:
     flags: str = ""  # what the run reported, ";"-joined
     stop_fraction: float = 0.5
     strategy: str = ""  # alg1: graph sampling strategy
-    promote_fully_paired: bool = True  # sim: promotion variant
+    promote_fully_paired: bool = True  # sim and dem: promotion variant
     mode: str = ""  # dem: stage-two integrator mode
     steps: int = 0  # dem: fixed-mode step budget
 
@@ -177,7 +177,8 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
         flags = trace2.flags + trace3.flags
     elif rec.method == "dem":
         trace = dem_mod.run_dem(
-            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps
+            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps,
+            promote_fully_paired=rec.promote_fully_paired,
         )
         rec = replace(rec, eps=trace.eps)
         alpha, width, flags = trace.alpha_upper, 0, trace.flags
@@ -211,8 +212,8 @@ def cmd_alg1(
     workers: int = 1,
     out=None,
 ):
-    """graphs fresh graphs x runs greedy executions; per-graph avg/max/min
-    plus the grand mean, deterministically ordered."""
+    """graphs fresh graphs x runs greedy executions, in job order (graph,
+    then run); per-graph avg/max/min plus the grand mean."""
     jobs = []
     for gi in range(graphs):
         g = _graph(n, d, seed, gi, strategy)
@@ -226,7 +227,7 @@ def cmd_alg1(
             done = list(pool.map(run_record, *zip(*jobs)))
     else:
         done = [run_record(rec, g) for rec, g in jobs]
-    records = sorted((rec for rec, _ in done), key=lambda r: (r.d, r.n, r.seed))
+    records = [rec for rec, _ in done]
 
     per_graph = []
     for gi in range(graphs):

@@ -24,12 +24,8 @@ class RegularGraph:
     simple: bool
 
     def degree_check(self) -> bool:
-        """Every row lists exactly d endpoints and the table is symmetric."""
-        counts = np.zeros(self.n, dtype=np.int64)
-        for u in range(self.n):
-            for v in self.adjacency[u]:
-                counts[v] += 1
-        return bool(np.all(counts == self.d))
+        """Every vertex fills exactly d slots of the table."""
+        return _fills(self.adjacency.ravel(), self.n, self.d)
 
 
 @dataclass(eq=False)
@@ -54,72 +50,74 @@ def _check_params(n: int, d: int) -> None:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
 
 
-def _adjacency_from_pairs(n: int, d: int, pairs) -> np.ndarray:
-    adj = np.empty((n, d), dtype=np.int32)
-    fill = np.zeros(n, dtype=np.int32)
-    for u, v in pairs:
-        adj[u, fill[u]] = v
-        fill[u] += 1
-        adj[v, fill[v]] = u
-        fill[v] += 1
-    if not np.all(fill == d):
-        raise AssertionError("pairing did not fill every stub")
-    return adj
+def check_stop_fraction(n: int, stop_fraction: float) -> None:
+    """The red half holds int(n * stop_fraction) vertices: at least one,
+    and at most half of the graph."""
+    if not 0.0 < stop_fraction <= 0.5:
+        raise ValueError("stop_fraction must be in (0, 0.5]")
+    if int(n * stop_fraction) < 1:
+        raise ValueError(f"n * stop_fraction must be at least 1, got {n} * {stop_fraction}")
 
 
-def _pairing_pass(n: int, d: int, rng: np.random.Generator):
+def _fills(ends: np.ndarray, n: int, d: int) -> bool:
+    return np.array_equal(np.bincount(ends, minlength=n), np.full(n, d))
+
+
+def _adjacency_from_pairs(n: int, d: int, pairs: np.ndarray) -> np.ndarray:
+    """The (n, d) table of an (m, 2) pair array. Each row lists its
+    neighbors in pair order; a loop (u, u) fills two slots of row u."""
+    ends = pairs.ravel()  # u0, v0, u1, v1, ...
+    if not _fills(ends, n, d):
+        raise ValueError("pairs do not fill every vertex's d slots")
+    order = np.argsort(ends, kind="stable")
+    other_end = pairs[:, ::-1].ravel()
+    return other_end[order].reshape(n, d).astype(np.int32)
+
+
+def _pairing_pass(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """One full stub pairing, loops and parallels included."""
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     rng.shuffle(stubs)
-    return list(zip(stubs[0::2], stubs[1::2]))
+    return stubs.reshape(-1, 2)
 
 
-def _pairs_simple(pairs) -> bool:
-    seen = set()
-    for u, v in pairs:
-        if u == v:
-            return False
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            return False
-        seen.add(key)
-    return True
+def _pairs_simple(pairs: np.ndarray, n: int) -> bool:
+    u, v = np.sort(pairs, axis=1).T
+    return not np.any(u == v) and np.unique(u * n + v).size == u.size
 
 
-def _rematch_feasible(edges: set, leftover) -> bool:
-    # some valid pair must exist among the leftover stubs, else dead end
-    nodes = sorted(set(leftover))
-    if not nodes:
-        return True
-    for a, b in itertools.combinations(nodes, 2):
-        if (a, b) not in edges:
-            return True
-    return False
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    return np.searchsorted(sorted_keys, keys, "right") > np.searchsorted(sorted_keys, keys)
 
 
 def _try_rematch(n: int, d: int, rng: np.random.Generator):
     """Pair stubs, keep the valid edges, reshuffle the defective stubs.
 
-    Returns the edge set, or None when no valid completion exists and the
-    whole attempt must restart.
+    A pass keeps a pair unless it is a loop, an edge kept before, or a
+    repeat of an earlier pair of the same pass. Returns the kept pairs in
+    the order they were kept, or None when the leftover stubs cannot form
+    a new edge and the whole attempt must restart.
     """
-    edges: set = set()
-    stubs = list(np.repeat(np.arange(n, dtype=np.int64), d))
-    while stubs:
+    kept = []
+    edges = np.empty(0, dtype=np.int64)  # sorted keys of the kept pairs
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while stubs.size:
         rng.shuffle(stubs)
-        leftover = []
-        for u, v in zip(stubs[0::2], stubs[1::2]):
-            if u > v:
-                u, v = v, u
-            if u == v or (u, v) in edges:
-                leftover.append(u)
-                leftover.append(v)
-            else:
-                edges.add((u, v))
-        if leftover and not _rematch_feasible(edges, leftover):
+        pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+        # min * n + max: one key per unordered vertex pair
+        keys, first = np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)
+        new = (pairs[first, 0] != pairs[first, 1]) & ~_contains(edges, keys)
+        keep = np.zeros(len(pairs), dtype=bool)
+        keep[first[new]] = True
+        kept.append(pairs[keep])
+        edges = np.insert(edges, np.searchsorted(edges, keys[new]), keys[new])
+        stubs = pairs[~keep].ravel()
+        # a dead end: every two distinct leftover nodes are already an edge
+        nodes = np.unique(stubs)
+        a, b = np.triu_indices(nodes.size, 1)
+        if stubs.size and np.all(_contains(edges, nodes[a] * n + nodes[b])):
             return None
-        stubs = leftover
-    return edges
+    return np.concatenate(kept)
 
 
 def gen_regular(
@@ -138,7 +136,9 @@ def gen_regular(
     uniform, but only practical for small d. "rematch" re-pairs only the
     defective stubs and restarts on the rare dead end (fast at any scale)
     but is biased: K_{3,3} makes 0.152 of 6-vertex cubic graphs against
-    1/7. Both raise RuntimeError at max_restarts.
+    1/7. Both raise RuntimeError at max_restarts. A row lists its
+    neighbors in the order of their pairs: as drawn for restart and
+    multigraphs, as kept for rematch.
     """
     _check_params(n, d)
     rng = np.random.default_rng(seed)
@@ -150,7 +150,7 @@ def gen_regular(
     if strategy == "restart":
         for _ in range(max_restarts):
             pairs = _pairing_pass(n, d, rng)
-            if _pairs_simple(pairs):
+            if _pairs_simple(pairs, n):
                 return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), True)
         raise RuntimeError(
             f"no simple pairing in {max_restarts} restarts (n={n}, d={d}); "
@@ -158,9 +158,9 @@ def gen_regular(
         )
     if strategy == "rematch":
         for _ in range(max_restarts):
-            edges = _try_rematch(n, d, rng)
-            if edges is not None:
-                return RegularGraph(n, d, _adjacency_from_pairs(n, d, edges), True)
+            pairs = _try_rematch(n, d, rng)
+            if pairs is not None:
+                return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), True)
         raise RuntimeError(f"rematch failed {max_restarts} times (n={n}, d={d})")
     raise ValueError(f"unknown strategy {strategy!r}")
 
@@ -290,11 +290,8 @@ def load_edge_list(path) -> RegularGraph:
         if len(header) != 3:
             raise ValueError("expected header 'n d simple'")
         n, d, simple = int(header[0]), int(header[1]), bool(int(header[2]))
-        pairs = []
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            u, v = map(int, line.split())
-            pairs.append((u, v))
+        rows = [line.split() for line in fh if line.strip()]
+    if any(len(row) != 2 for row in rows):
+        raise ValueError("expected one pair 'u v' per line")
+    pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
     return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), simple)

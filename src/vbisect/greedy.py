@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Bisection, RegularGraph, ball_layers, bisection_of, critical_balls
+from .graph import Bisection, RegularGraph, ball_layers, bisection_of
+from .graph import check_stop_fraction, critical_balls
 
 
 @dataclass
@@ -50,8 +51,7 @@ def run_alg1(
         raise ValueError("the greedy search needs a simple graph")
     if cfg.r0_offset not in (1, 2):
         raise ValueError("r0_offset must be 1 or 2")
-    if not 0.0 < cfg.stop_fraction <= 0.5:
-        raise ValueError("stop_fraction must be in (0, 0.5]")
+    check_stop_fraction(g.n, cfg.stop_fraction)
     n, d = g.n, g.d
     rng = random.Random(cfg.seed)
     x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)

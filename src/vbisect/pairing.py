@@ -22,6 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
+from .graph import check_stop_fraction
+
 __all__ = ["PairingState", "SimTrace", "run_alg2", "run_alg3"]
 
 
@@ -264,8 +266,7 @@ def run_alg2(
         raise ValueError("n*d must be even")
     if d < 3 or n <= d:
         raise ValueError("need d >= 3 and n > d")
-    if not 0.0 < stop_fraction <= 0.5:
-        raise ValueError("stop_fraction must be in (0, 0.5]")
+    check_stop_fraction(n, stop_fraction)
     rng = random.Random(seed)
     st = PairingState(n, d)
     trace = SimTrace(n=n, d=d)
@@ -350,8 +351,7 @@ def run_alg3(
 
     Mutates state in place.
     """
-    if not 0.0 < stop_fraction <= 0.5:
-        raise ValueError("stop_fraction must be in (0, 0.5]")
+    check_stop_fraction(state.n, stop_fraction)
     st = state
     n, d = st.n, st.d
     m = (d + 1) // 2

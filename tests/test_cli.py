@@ -32,7 +32,11 @@ def test_invalid_parameters_exit_two(capsys):
     simulate = ["simulate", "--d", "4", "--n", "1000", "--runs", "1"]
     for argv in (["gen", "--d", "3", "--n", "7"],
                  simulate + ["--stop-fraction", "0"],
-                 simulate + ["--stop-fraction", "0.7"]):
+                 simulate + ["--stop-fraction", "0.7"],
+                 # n * stop_fraction under one vertex
+                 simulate + ["--stop-fraction", "0.0005"],
+                 ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "1",
+                  "--stop-fraction", "0.005"]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbisect import experiment, reference
+from vbisect import dem, experiment, reference
 from vbisect.experiment import (
     RECORD_FIELDS,
     RunRecord,
@@ -117,6 +117,12 @@ def test_alg1_sweep_structure(tmp_path):
     assert (tmp_path / "records.csv").exists()
 
 
+def test_alg1_records_keep_job_order():
+    # graph 10 comes after graph 9, not after graph 1
+    records, _ = cmd_alg1(3, n=40, runs=1, graphs=11, seed=0)
+    assert [r.seed for r in records] == [f"0:{gi}:0" for gi in range(11)]
+
+
 def test_alg1_sweep_workers_match_serial():
     serial, _ = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1)
     parallel, _ = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1, workers=2)
@@ -179,6 +185,14 @@ def test_dem_records_replay_bit_exact():
     assert replay_record(records[0]) == records[0].alpha
 
 
+def test_dem_record_runs_its_promotion_variant():
+    rec = RunRecord("dem", 4, 0, "", 0, None, promote_fully_paired=False,
+                    mode="adaptive", steps=10**6)
+    literal = dem.run_dem(4, promote_fully_paired=False).alpha_upper
+    assert literal != dem.run_dem(4).alpha_upper
+    assert experiment.run_record(rec)[0].alpha == literal
+
+
 def test_non_default_configs_replay_bit_exact(tmp_path):
     # each of these alphas differs from the one the default config gives;
     # replay reads the config from the columns a CSV round trip gives back
@@ -208,12 +222,15 @@ def _run_configs(draw):
     """An unrun record of any method with a random config and seed."""
     method = draw(st.sampled_from(["alg1", "sim", "dem"]))
     d = draw(st.integers(3, 6))
-    stop_fraction = draw(st.floats(0.0, 0.5, exclude_min=True))
     if method == "dem":
-        return RunRecord("dem", d, 0, "", 0, None, stop_fraction=stop_fraction,
+        return RunRecord("dem", d, 0, "", 0, None,
+                         stop_fraction=draw(st.floats(0.0, 0.5, exclude_min=True)),
+                         promote_fully_paired=draw(st.booleans()),
                          mode=draw(st.sampled_from(["adaptive", "fixed"])),
                          steps=draw(st.sampled_from([2_000, 20_000])))
     n = 2 * draw(st.integers(d + 1, 150))  # n*d even
+    # the red half must hold at least one vertex
+    stop_fraction = draw(st.floats(1 / n, 0.5).filter(lambda f: n * f >= 1))
     base = draw(st.integers(0, 2**32 - 1))
     if method == "sim":
         return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0,

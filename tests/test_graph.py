@@ -4,6 +4,7 @@ The named-graph answers here were computed by hand and by an independent
 subset-enumeration script before being frozen.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,10 @@ from hypothesis import strategies as st
 
 from vbisect.graph import (
     RegularGraph,
+    _adjacency_from_pairs,
+    _pairing_pass,
+    _pairs_simple,
+    _try_rematch,
     ball_layers,
     ball_sizes,
     bisection_of,
@@ -203,6 +208,69 @@ def test_gen_regular_restart_budget_exhausted():
         gen_regular(20, 3, seed=0, strategy="restart", max_restarts=0)
 
 
+def test_gen_regular_rematch_budget_exhausted():
+    with pytest.raises(RuntimeError):
+        gen_regular(20, 3, seed=0, strategy="rematch", max_restarts=0)
+
+
+def test_rows_list_neighbors_in_pair_order():
+    # a loop (2, 2) fills two slots of row 2; 0-1 is a triple edge
+    pairs = np.array([[0, 1], [2, 2], [1, 0], [0, 2], [1, 2], [0, 1]])
+    adj = _adjacency_from_pairs(3, 4, pairs)
+    assert adj.dtype == np.int32
+    assert adj.tolist() == [[1, 1, 2, 1], [0, 0, 2, 0], [2, 2, 0, 1]]
+    with pytest.raises(ValueError, match="slots"):
+        _adjacency_from_pairs(3, 4, pairs[:-1])
+
+
+def _rematch_loop(n, d, rng):
+    """Reference: the rematch sampler one pair at a time."""
+    kept, edges = [], set()
+    stubs = np.repeat(np.arange(n, dtype=np.int64), d)
+    while stubs.size:
+        rng.shuffle(stubs)
+        leftover = []
+        for u, v in stubs.reshape(-1, 2).tolist():
+            u, v = min(u, v), max(u, v)
+            if u == v or (u, v) in edges:
+                leftover += [u, v]
+            else:
+                edges.add((u, v))
+                kept.append((u, v))
+        nodes = sorted(set(leftover))
+        if leftover and all(pair in edges for pair in itertools.combinations(nodes, 2)):
+            return None
+        stubs = np.array(leftover, dtype=np.int64)
+    return kept
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(3, 6), half_n=st.integers(2, 40), seed=st.integers(0, 10**6))
+def test_rematch_matches_the_pair_loop(d, half_n, seed):
+    n = 2 * half_n + (d + 1) // 2 * 2  # n > d and n*d even
+    pairs = _try_rematch(n, d, np.random.default_rng(seed))
+    want = _rematch_loop(n, d, np.random.default_rng(seed))
+    assert (pairs is None and want is None) or pairs.tolist() == [list(p) for p in want]
+
+
+@settings(max_examples=20, deadline=None)
+@given(d=st.integers(3, 6), half_n=st.integers(2, 40), seed=st.integers(0, 10**6))
+def test_table_matches_the_pair_loop(d, half_n, seed):
+    n = 2 * half_n + (d + 1) // 2 * 2
+    pairs = _pairing_pass(n, d, np.random.default_rng(seed))
+    want = [[] for _ in range(n)]
+    for u, v in pairs.tolist():
+        want[u].append(v)
+        want[v].append(u)
+    assert _adjacency_from_pairs(n, d, pairs).tolist() == want
+
+
+def test_pairs_simple_catches_loops_and_parallel_edges():
+    assert _pairs_simple(np.array([[0, 1], [2, 3], [1, 2], [3, 0]]), 4)
+    assert not _pairs_simple(np.array([[0, 1], [2, 2], [1, 3]]), 4)
+    assert not _pairs_simple(np.array([[0, 1], [2, 3], [1, 0]]), 4)
+
+
 @settings(max_examples=20, deadline=None)
 @given(half_n=st.integers(4, 30), seed=st.integers(0, 10**6))
 def test_gen_regular_always_three_regular(half_n, seed):
@@ -257,6 +325,17 @@ def test_load_edge_list_rejects_bad_header(tmp_path):
     path.write_text("not a header\n0 1\n")
     with pytest.raises(ValueError):
         load_edge_list(path)
+
+
+def test_load_edge_list_rejects_bad_pairs(tmp_path):
+    path = tmp_path / "bad.txt"
+    k4 = "4 3 1\n0 1\n0 2\n0 3\n1 2\n1 3\n"
+    path.write_text(k4 + "2 3\n")
+    assert load_edge_list(path).degree_check()
+    for tail in ("2 3 1\n", "2\n3\n", "2 4\n", "2 x\n", ""):
+        path.write_text(k4 + tail)
+        with pytest.raises(ValueError):
+            load_edge_list(path)
 
 
 @settings(max_examples=15, deadline=None)

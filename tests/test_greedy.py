@@ -100,6 +100,12 @@ def test_config_validation():
         run_alg1(g, GreedyConfig(stop_fraction=0.6))
     with pytest.raises(ValueError):  # the greedy needs a simple graph
         run_alg1(gen_regular(10, 3, seed=0, simple=False))
+    # a target half under one vertex
+    g = gen_regular(100, 3, seed=0)
+    for stop_fraction in (0.005, 0.0099):
+        with pytest.raises(ValueError, match="at least 1"):
+            run_alg1(g, GreedyConfig(stop_fraction=stop_fraction))
+    assert int(run_alg1(g, GreedyConfig(stop_fraction=0.01))[0].red.sum()) == 1
 
 
 def test_offset_one_uses_larger_seed_ball():

@@ -161,6 +161,11 @@ def test_validation():
             run_alg2(1000, 4, seed=0, stop_fraction=stop_fraction)
         with pytest.raises(ValueError, match="stop_fraction"):
             run_alg3(state, seed=1, stop_fraction=stop_fraction)
+    # a target half under one vertex
+    with pytest.raises(ValueError, match="at least 1"):
+        run_alg2(200, 4, seed=0, stop_fraction=0.004)
+    with pytest.raises(ValueError, match="at least 1"):
+        run_alg3(state, seed=1, stop_fraction=0.0009)
 
 
 def test_snapshot_rows_and_csv(tmp_path):
