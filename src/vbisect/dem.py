@@ -2,27 +2,28 @@
 
 The scaled class sizes of the simulation concentrate, as n grows, on the
 solution of two ODE systems, provided both start from the same scaled
-state. Stage one evolves red classes r_0..r_{d-1} and untouched-side
-classes z_0..z_d in rounds, each solved exactly (`ExactRound`) until the
-red unpaired points fall to DELTA_STOP; then the hit whites z_0..z_{d-1}
-are promoted into the red block and the next round starts. Stage one
-stops mid-round, at the moment the mass a promotion would make red
-(1 - z_d, less z_0 when fully paired whites stay white) reaches the
-target fraction; that state is promoted and all of its mass seeds stage
-two, which is integrated numerically and drains the low red classes
-until the balance event. The bound is the width of the balanced
-partition the simulation builds (the red set less class 1), read off in
-the fluid limit by a backward pass along the path (see the readout
-section).
+state. Both stages use one layout: red classes r_0..r_{d-1} and white
+classes z_0..z_d, indexed by unpaired points (a red vertex never has d;
+z_d is the untouched pool). Stage one runs in rounds, each solved exactly
+(`ExactRound`) until the red unpaired points fall to DELTA_STOP; then the
+hit whites z_0..z_{d-1} are promoted into the red block and the next
+round starts. Stage one stops mid-round, at the moment the mass a
+promotion would make red (1 - z_d, less z_0 when fully paired whites stay
+white) reaches the target fraction. The promotion of that state is the
+hand-off: it seeds stage two with all of the mass, and stage two is
+integrated numerically, draining the low red classes until the balance
+event. The bound is the width of the balanced partition the simulation
+builds (the red set less class 1), read off in the fluid limit by a
+backward pass along the path (see the readout section).
 
 The process is defined once: `_leg_layout` gives each leg's point
 counts, moves and first-point pool, from which the right-hand sides and
 the readout's backward pass are built, and `_transition` maps each class
-through a promotion or the hand-off, forward for the run and backward for
-the readout. The right-hand sides are conservative: component sums vanish
-up to rounding. The transitions (promotions, the hand-off and the
-stage-two negativity clamp) only move mass between classes; `run_dem`
-raises if one changes the total by more than CLAMP_TOL.
+through a promotion, forward for the run and backward for the readout.
+The right-hand sides are conservative: component sums vanish up to
+rounding. The transitions (the promotions and the stage-two negativity
+clamp) only move mass between classes; `run_dem` raises if a promotion
+changes the total by more than CLAMP_TOL.
 """
 
 from __future__ import annotations
@@ -52,14 +53,23 @@ RTOL, ATOL = 1e-10, 1e-12  # adaptive stage-two legs
 
 @dataclass
 class DemState:
-    """Scaled class sizes. Stage one: r has d entries and z has d+1;
-    stage two: r has d+1 entries (the last is the untouched pool) and z
-    holds one entry, the fully paired whites, which stage two never
-    touches (0 unless they were left white at the hand-off)."""
+    """Scaled class sizes in the layout of both stages: r_0..r_{d-1} and
+    z_0..z_d by unpaired points, z_d the untouched pool. In stage two
+    z_1..z_{d-1} are 0 and z_0 holds the fully paired whites, which stage
+    two never touches (0 unless they were left white at the hand-off)."""
 
     d: int
     r: np.ndarray
     z: np.ndarray
+
+    @classmethod
+    def from_vector(cls, d: int, y: np.ndarray) -> DemState:
+        return cls(d, y[:d], y[d:])
+
+    @property
+    def vector(self) -> np.ndarray:
+        """[r_0..r_{d-1}, z_0..z_d], the vector every leg evolves."""
+        return np.concatenate([self.r, self.z])
 
     @property
     def points_red(self) -> float:
@@ -75,8 +85,7 @@ class DemState:
 
     @property
     def red_mass(self) -> float:
-        """Red vertex fraction: classes 0..d-1 (never the untouched pool)."""
-        return float(self.r[: self.d].sum())
+        return float(self.r.sum())
 
     @property
     def mass(self) -> float:
@@ -91,8 +100,7 @@ class DemRunResult:
     mode: str
     alpha_upper: float
     round_end_states: list = field(default_factory=list)  # stage 1, pre-promotion
-    post_roll_states: list = field(default_factory=list)
-    handoff_state: DemState | None = None  # stage one at its stop, pre-promotion
+    post_roll_states: list = field(default_factory=list)  # the last seeds stage 2
     stage2_states: list = field(default_factory=list)  # end state of each leg
     final_state: DemState | None = None
     flags: list = field(default_factory=list)
@@ -103,25 +111,30 @@ class DemRunResult:
     def phase_count(self) -> int:
         return len(self.round_end_states)
 
+    @property
+    def handoff_state(self) -> DemState:
+        """Stage one at its stop, before the promotion that seeds stage two."""
+        return self.round_end_states[-1]
+
 
 # -- right-hand sides ------------------------------------------------------
 
 
 def _leg_layout(d: int, kind: str):
     """(unpaired points, index of the state one point down, mask of the
-    states that give first points) over the state vector of a leg of kind
-    "one" (a stage-one round), "two" or "fallback" (stage two)."""
-    if kind == "one":  # [r_0..r_{d-1}, z_0..z_d]; first points are red
-        pts = np.concatenate([np.arange(d), np.arange(d + 1)]).astype(float)
-        down = np.concatenate([[0], np.arange(d - 1), [d], np.arange(d, 2 * d)])
-        first = np.concatenate([np.ones(d), np.zeros(d + 1)])
-        return pts, down, first
-    pts = np.arange(d + 1, dtype=float)  # [r_0..r_d], r_d untouched
-    down = np.concatenate([[0], np.arange(d)])
-    # first points: the low red classes 1..ceil(d/2), or every red class
-    # once those are exhausted; never the untouched pool
-    first = np.ones(d + 1)
-    first[((d + 1) // 2 if kind == "two" else d - 1) + 1 :] = 0.0
+    states that give first points) over [r_0..r_{d-1}, z_0..z_d] for a leg
+    of kind "one" (a stage-one round), "two" or "fallback" (stage two).
+
+    The kinds differ as the simulation's `expose_step(low_max,
+    color_on_hit)` calls do. A hit white z_j keeps its colour (to z_{j-1})
+    in a round and turns red (to r_{j-1}) in stage two. First points come
+    from red classes 1..ceil(d/2) in "two", the low classes, and from
+    every red class 1..d-1 otherwise."""
+    pts = np.concatenate([np.arange(d), np.arange(d + 1)]).astype(float)
+    hit = np.arange(d, 2 * d) if kind == "one" else np.arange(d)
+    down = np.concatenate([[0], np.arange(d - 1), [d], hit])
+    low_max = (d + 1) // 2 if kind == "two" else d - 1
+    first = (np.arange(2 * d + 1) <= low_max).astype(float)
     return pts, down, first
 
 
@@ -152,9 +165,10 @@ def rhs_phase1(d: int):
 
 
 def rhs_phase2(d: int):
-    """Stage-two derivative of [r_0..r_d]: first points come from the low
-    red classes 1..ceil(d/2), second points from every class, the
-    untouched pool r_d included (loss-only)."""
+    """Stage-two derivative of [r_0..r_{d-1}, z_0..z_d]: first points come
+    from the low red classes 1..ceil(d/2), second points from every class,
+    and a hit white turns red, so the untouched pool z_d drains into
+    r_{d-1} and z_1..z_{d-1} stay empty."""
     return _leg_rhs(d, "two")
 
 
@@ -162,7 +176,7 @@ def rhs_phase2_fallback(d: int):
     """Stage-two derivative once the low classes are exhausted: as
     `rhs_phase2`, but first points are drawn from every red class
     1..d-1, as the simulation's fallback draws them from all red unpaired
-    points (never from the untouched pool)."""
+    points."""
     return _leg_rhs(d, "fallback")
 
 
@@ -213,8 +227,7 @@ class ExactRound:
 
     def vector(self, t: float) -> np.ndarray:
         """[r, z] at time t into the round."""
-        s = self.state(self.u_at(t))
-        return np.concatenate([s.r, s.z])
+        return self.state(self.u_at(t)).vector
 
     def stop_u(self, frac: float, promote_fully_paired: bool) -> float | None:
         """The first u at which a promotion would make a red mass of at
@@ -256,39 +269,27 @@ def init_state(d: int, eps: float) -> DemState:
     return DemState(d, r, z)
 
 
-def _transition(d: int, promote_fully_paired: bool, handoff: bool) -> np.ndarray:
-    """Index of each entry of the stage-one vector [r_0..r_{d-1}, z_0..z_d]
-    after a promotion (into the stage-one layout) or the hand-off (into the
-    stage-two layout [r_0..r_d]). Red classes stay, the hit whites z_j join
-    r_j, and the untouched pool stays (at the hand-off it becomes class d).
-    Fully paired whites z_0 join r_0, or in the literal variant stay white:
-    as z_0 within stage one, as -1 (the stage-two z) at the hand-off."""
-    lo = 0 if promote_fully_paired else 1
-    white, pool = (-1, d) if handoff else (d, 2 * d)
-    whites = [j if j >= lo else white for j in range(d)]
-    return np.array(list(range(d)) + whites + [pool])
-
-
-def _transit(s: DemState, promote_fully_paired: bool, handoff: bool):
-    """`_transition` applied forward to a stage-one state: (the entries
-    after it, [the mass it sends to -1])."""
-    m = _transition(s.d, promote_fully_paired, handoff)
-    moved = np.bincount(m + 1, np.concatenate([s.r, s.z]))
-    return moved[1:], moved[:1]
+def _transition(d: int, promote_fully_paired: bool) -> np.ndarray:
+    """Index of each entry of [r_0..r_{d-1}, z_0..z_d] after a promotion.
+    Red classes stay, the hit whites z_j join r_j, and the untouched pool
+    stays. Fully paired whites z_0 join r_0, or in the literal variant stay
+    white."""
+    m = np.concatenate([np.arange(d), np.arange(d), [2 * d]])
+    if not promote_fully_paired:
+        m[d] = d
+    return m
 
 
 def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
     """End-of-round promotion of the hit whites (see `_transition`)."""
-    y, _ = _transit(s, promote_fully_paired, handoff=False)
-    return DemState(s.d, y[: s.d], y[s.d :])
+    m = _transition(s.d, promote_fully_paired)
+    return DemState.from_vector(s.d, np.bincount(m, s.vector, m.size))
 
 
 def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
-    """Seed of stage two from the stage-one state at its stop: promote as
-    `rollover` does and relabel the untouched pool as class d; the fully
-    paired whites left white (if any) are kept in z. No mass is dropped."""
-    r, z = _transit(s, promote_fully_paired, handoff=True)
-    return DemState(s.d, r, z)
+    """Seed of stage two from the stage-one state at its stop. Both stages
+    share one layout, so the hand-off is that round's promotion."""
+    return rollover(s, promote_fully_paired)
 
 
 # -- readout: the boundary of the balanced partition -------------------------
@@ -329,7 +330,8 @@ class Leg:
     """One leg of a run as the readout needs it. kind names the right-hand
     side it follows: "one" (`rhs_phase1`, a stage-one round), "two"
     (`rhs_phase2`) or "fallback" (`rhs_phase2_fallback`); at maps a time
-    in [0, span] to the state vector there (see `run_dem`)."""
+    in [0, span] to the state vector there, [r_0..r_{d-1}, z_0..z_d] for
+    every kind (see `run_dem`)."""
 
     kind: str
     span: float
@@ -384,30 +386,27 @@ def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
 
 def _relabel(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     """[h, k] before a transition from [h, k] after it: the map m of
-    `_transition` gathered backward. A fully paired white that stays
-    white (-1) ends outside the half, so both read 0 there."""
-    n = x.size // 2
-    return np.concatenate([np.append(x[:n], 0.0)[m], np.append(x[n:], 0.0)[m]])
+    `_transition` gathered backward."""
+    return x[np.concatenate([m, m + m.size])]
 
 
 def pull_back(
     d: int, legs: list[Leg], x: np.ndarray, promote_fully_paired: bool = True
 ) -> tuple[np.ndarray, list]:
-    """Carry [h, k] from the end of a run (stage-two layout) back to its
-    seed (stage-one layout) through the legs and transitions of the run;
-    returns it with the flags of any leg whose backward solve did not
-    finish."""
+    """Carry [h, k] from the end of a run back to its seed through the legs
+    of the run and the promotion that ends each round (the last one is the
+    hand-off); returns it with the flags of any leg whose backward solve
+    did not finish."""
+    if not legs or legs[0].kind != "one":
+        raise ValueError("a run starts with a stage-one leg")
+    m = _transition(d, promote_fully_paired)
     flags = []
-    after = "end"
     for leg in reversed(legs):
-        if leg.kind == "one":  # a promotion, or the hand-off after the last round
-            x = _relabel(x, _transition(d, promote_fully_paired, after != "one"))
+        if leg.kind == "one":
+            x = _relabel(x, m)
         x, status = _pull_back_leg(d, leg, x)
         if status != "t_end":
             flags.append(f"readout_{status}")
-        after = leg.kind
-    if after != "one":
-        raise ValueError("a run starts with a stage-one leg")
     return x, flags
 
 
@@ -417,9 +416,10 @@ def interior_mass(
     """Fluid limit of the interior of the balanced half, as a fraction of
     n, for the run seeded at eps whose legs are given; returns it with
     the flags of `pull_back`."""
-    h = np.ones(d + 1)
-    h[1] = h[d] = 0.0
-    k = np.zeros(d + 1)
+    h = np.zeros(2 * d + 1)
+    h[:d] = 1.0  # the half: every red class but class 1, and no white
+    h[1] = 0.0
+    k = np.zeros(2 * d + 1)
     k[0] = 1.0
     x, flags = pull_back(d, legs, np.concatenate([h, k]), promote_fully_paired)
     h, k = x[: 2 * d + 1], x[2 * d + 1 :]
@@ -466,34 +466,27 @@ def integrate_phase(
     t_max: float = MAX_LEG_TIME,
     keep_every: int = 0,
 ) -> tuple[DemState, str | None, IntResult]:
-    """One stage-two integration leg from s0 to its earliest event.
+    """One integration leg of the vector [r, z] from s0 to its earliest
+    event; `run_dem` integrates stage two only (see `ExactRound`).
 
     Returns (end state, fired event name or None, raw solver result). The
-    caller supplies the events; this function integrates r and carries z
-    unchanged. Stage one is never integrated (see `ExactRound`)."""
+    caller supplies the events."""
     if not events:
         raise ValueError("events must be nonempty")
-    if s0.r.size != s0.d + 1:
-        raise ValueError("integrate_phase takes stage-two states only")
+    y0 = s0.vector
     if mode == "adaptive":
         res = solve_adaptive(
-            rhs, 0.0, s0.r, t_max, events, rtol=RTOL, atol=ATOL, keep_every=keep_every
+            rhs, 0.0, y0, t_max, events, rtol=RTOL, atol=ATOL, keep_every=keep_every
         )
     elif mode == "fixed":
         if h_fixed is None:
             raise ValueError("fixed mode needs h_fixed")
-        res = solve_fixed(rhs, 0.0, s0.r, t_max, h_fixed, events, keep_every=keep_every)
+        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events, keep_every=keep_every)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not np.all(np.isfinite(res.y)):
         raise FloatingPointError(f"non-finite state at t={res.t}: {res.y}")
-    return DemState(s0.d, res.y, s0.z), res.event, res
-
-
-def _check_mass(before: DemState, after: DemState, what: str) -> None:
-    gap = after.mass - before.mass
-    if abs(gap) > CLAMP_TOL:
-        raise RuntimeError(f"{what} changed the total mass by {gap:.3e}")
+    return DemState.from_vector(s0.d, res.y), res.event, res
 
 
 def _fixed_leg_grid(leg_steps: int, p_all: float):
@@ -521,17 +514,17 @@ def run_dem(
 
     Stage one is solved exactly, round by round (`ExactRound`), in both
     modes; it ends mid-round where a promotion would first make a red mass
-    of stop_fraction. That state is handoff_state, and phase2_init
-    promotes it into the seed of stage two. mode and steps act on stage
-    two only: mode "adaptive" uses the embedded 5(4) pair at tight
-    tolerance; mode "fixed" uses classical RK4 on uniform per-leg grids,
-    each leg taking an equal share of the step budget over a span sized
-    from the point-pool drain. alpha_upper is the boundary of the balanced
-    half over stop_fraction, 1 - interior_mass / stop_fraction, from the
-    paths of all legs. Runs whose stage two cannot reach balance
+    of stop_fraction. That state is handoff_state, and its promotion, the
+    last of stage one, seeds stage two in the same layout. mode and steps
+    act on stage two only: mode "adaptive" uses the embedded 5(4) pair at
+    tight tolerance; mode "fixed" uses classical RK4 on uniform per-leg
+    grids, each leg taking an equal share of the step budget over a span
+    sized from the point-pool drain. alpha_upper is the boundary of the
+    balanced half over stop_fraction, 1 - interior_mass / stop_fraction,
+    from the paths of all legs. Runs whose stage two cannot reach balance
     (exhausted point pools) read off at the stopped state and carry
-    explanatory flags. Raises RuntimeError if a promotion or the hand-off
-    changes the total mass by more than CLAMP_TOL.
+    explanatory flags. Raises RuntimeError if a promotion changes the
+    total mass by more than CLAMP_TOL.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -560,18 +553,19 @@ def run_dem(
         legs.append(Leg("one", rnd.t_at(u), rnd.vector))
         res.round_end_states.append(end)
         rolled = rollover(end, promote_fully_paired)
-        _check_mass(end, rolled, f"promotion {len(res.round_end_states)}")
+        gap = rolled.mass - end.mass
+        if abs(gap) > CLAMP_TOL:
+            raise RuntimeError(
+                f"promotion {len(res.round_end_states)} changed the total mass by {gap:.3e}"
+            )
         res.post_roll_states.append(rolled)
+        state = rolled  # after the last promotion, the seed of stage two
         if rolled.red_mass >= stop_fraction:
             break
-        state = rolled
         if len(res.round_end_states) >= MAX_ROUNDS:
             res.flags.append("round_cap")
             break
 
-    res.handoff_state = end
-    state = phase2_init(end, promote_fully_paired)
-    _check_mass(end, state, "hand-off")
     f2 = rhs_phase2(d)
     f2_fb = rhs_phase2_fallback(d)
     # point weights of the first-point pools: the low classes, all red ones
@@ -579,20 +573,21 @@ def run_dem(
     w_low, w_red = pts * first, pts * _leg_layout(d, "fallback")[2]
 
     balance = _ev_balance(d, stop_fraction)
+    guard_low = _ev_guard(w_low, "guard_low_points")
     guard_red = _ev_guard(w_red, "guard_red_points")
     done = False
     in_fallback = False
     for _ in range(MAX_STAGE2_LEGS):
         # entry checks: events cannot fire on a pool that is already dead
-        if float(w_red @ state.r) <= DELTA_STOP:
+        y = state.vector
+        if guard_red(0.0, y) <= 0.0:
             res.flags.append("red_exhausted")
             break
-        bal0 = state.red_mass - float(state.r[1]) - stop_fraction
-        if bal0 >= 0.0:
+        if balance(0.0, y) >= 0.0:
             res.flags.append("balance_at_entry")
             done = True
             break
-        if not in_fallback and float(w_low @ state.r) <= DELTA_STOP:
+        if not in_fallback and guard_low(0.0, y) <= 0.0:
             in_fallback = True
         if in_fallback:
             if "l_exhausted" not in res.flags:
@@ -601,7 +596,7 @@ def run_dem(
             guards = [guard_red]
         else:
             rhs = f2
-            guards = [_ev_guard(w_low, "guard_low_points"), guard_red]
+            guards = [guard_low, guard_red]
         if mode == "fixed":
             h_fixed, t_cap = _fixed_leg_grid(leg_steps, state.points_all)
         end, fired, raw = integrate_phase(
@@ -628,9 +623,9 @@ def run_dem(
             # rhs; the exhausted-pool dynamics take over after clamping
             if "stage2_clamp" not in res.flags:
                 res.flags.append("stage2_clamp")
-            r = state.r.copy()
-            np.copyto(r, 0.0, where=(r < 0.0) & (r > -CLAMP_TOL))
-            state = DemState(d, r, state.z)
+            y = state.vector
+            np.copyto(y, 0.0, where=(y < 0.0) & (y > -CLAMP_TOL))
+            state = DemState.from_vector(d, y)
             in_fallback = True
             continue
         if fired == "guard_low_points":

@@ -294,4 +294,7 @@ def load_edge_list(path) -> RegularGraph:
     if any(len(row) != 2 for row in rows):
         raise ValueError("expected one pair 'u v' per line")
     pairs = np.array(rows, dtype=np.int64).reshape(-1, 2)
-    return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), simple)
+    adjacency = _adjacency_from_pairs(n, d, pairs)
+    if simple and not _pairs_simple(pairs, n):
+        raise ValueError("header says simple, but a pair is a loop or a parallel edge")
+    return RegularGraph(n, d, adjacency, simple)

@@ -53,6 +53,8 @@ def run_alg1(
         raise ValueError("r0_offset must be 1 or 2")
     check_stop_fraction(g.n, cfg.stop_fraction)
     n, d = g.n, g.d
+    if cfg.x0 is not None and not 0 <= cfg.x0 < n:
+        raise ValueError(f"x0 must be a vertex in [0, {n}), got {cfg.x0}")
     rng = random.Random(cfg.seed)
     x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)
 

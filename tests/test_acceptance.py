@@ -102,8 +102,8 @@ def test_criterion_6_conservation(dem_adaptive, dem_fixed, criterion_log):
         rng = np.random.default_rng(100 + d)
         families = [
             (dem.rhs_phase1(d), 2 * d + 1),
-            (dem.rhs_phase2(d), d + 1),
-            (dem.rhs_phase2_fallback(d), d + 1),
+            (dem.rhs_phase2(d), 2 * d + 1),
+            (dem.rhs_phase2_fallback(d), 2 * d + 1),
         ]
         for f, size in families:
             for _ in range(1000):

@@ -80,11 +80,10 @@ def test_rhs_sums_vanish_on_random_states(d):
     f2 = dem.rhs_phase2(d)
     f2b = dem.rhs_phase2_fallback(d)
     for _ in range(200):
-        y1 = rng.uniform(0.01, 1.0, 2 * d + 1)
-        y2 = rng.uniform(0.01, 1.0, d + 1)
-        assert abs(float(f1(0.0, y1).sum())) <= 1e-12
-        assert abs(float(f2(0.0, y2).sum())) <= 1e-12
-        assert abs(float(f2b(0.0, y2).sum())) <= 1e-12
+        y = rng.uniform(0.01, 1.0, 2 * d + 1)
+        assert abs(float(f1(0.0, y).sum())) <= 1e-12
+        assert abs(float(f2(0.0, y).sum())) <= 1e-12
+        assert abs(float(f2b(0.0, y).sum())) <= 1e-12
 
 
 def test_untouched_class_drains_at_unit_rate_initially():
@@ -156,33 +155,28 @@ def test_stop_is_the_first_crossing_of_the_target(promote_fully_paired):
 
 @pytest.mark.parametrize("family", ["draw_low", "draw_any"])
 def test_stage_two_red_pool_drains_at_rate_two(family):
-    y0 = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
+    s0 = dem.DemState(4, np.array([0.05, 0.1, 0.05, 0.02]),
+                      np.array([0.0, 0.0, 0.0, 0.0, 0.3]))
     f = dem.rhs_phase2(4) if family == "draw_low" else dem.rhs_phase2_fallback(4)
     T = 0.05
-    end, fired, raw = dem.integrate_phase(f, dem.DemState(4, y0.copy(), np.zeros(1)), NEVER, t_max=T)
+    end, fired, raw = dem.integrate_phase(f, s0, NEVER, t_max=T)
     assert raw.status == "t_end"
-    p0 = float(np.arange(5) @ y0)
-    assert float(np.arange(5) @ end.r) == pytest.approx(p0 - 2 * T, abs=1e-12)
+    assert end.points_all == pytest.approx(s0.points_all - 2 * T, abs=1e-12)
 
 
 @pytest.mark.parametrize("kind", ["one", "two", "fallback"])
 def test_leg_rates_follow_the_pairing_model(kind):
-    # the simulation's rules on a d = 4 hand state: a first point uniform
-    # over the drawn pool, a second uniform over every unpaired point, and
-    # the owner of each point moves one point down. Stage one draws from
-    # every red class and a hit white keeps its colour; stage two draws
-    # from red classes 1..top (1..ceil(d/2), or every red class in the
-    # fallback) and a hit white (class d, the untouched pool) turns red.
+    # the simulation's rules on a d = 4 hand state [r_0..r_3, z_0..z_4]: a
+    # first point uniform over the drawn pool, a second uniform over every
+    # unpaired point, and the owner of each point moves one point down.
+    # Stage one draws from every red class and a hit white keeps its
+    # colour; stage two draws from red classes 1..top (1..ceil(d/2), or
+    # every red class in the fallback) and a hit white turns red.
     d = 4
-    if kind == "one":  # [r_0..r_3, z_0..z_4]
-        cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
-        y = np.array([0.05, 0.1, 0.05, 0.02, 0.01, 0.02, 0.03, 0.04, 0.6])
-        drawn = lambda c, i: c == "red"
-    else:  # [r_0..r_4]
-        top = {"two": 2, "fallback": 3}[kind]
-        cls = [("red", i) for i in range(d)] + [("white", d)]
-        y = np.array([0.05, 0.1, 0.05, 0.02, 0.3])
-        drawn = lambda c, i: c == "red" and i <= top
+    cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
+    y = np.array([0.05, 0.1, 0.05, 0.02, 0.01, 0.02, 0.03, 0.04, 0.6])
+    top = {"one": 3, "two": 2, "fallback": 3}[kind]
+    drawn = lambda c, i: c == "red" and i <= top
     p_first = sum(i * v for (c, i), v in zip(cls, y) if drawn(c, i))
     p_all = sum(i * v for (c, i), v in zip(cls, y))
     want = np.zeros(y.size)
@@ -222,18 +216,22 @@ def test_rollover_literal_variant_keeps_class_zero():
 
 def test_stage_two_relabel_drops_open_shells():
     # named for the defect it pinned: the relabel now promotes the hit
-    # whites (shells) into the red classes instead of dropping them
+    # whites (shells) into the red classes instead of dropping them. Both
+    # stages share one layout, so the hand-off is the promotion itself.
     s = dem.DemState(4, np.array([0.25, 0.125, 0.0, 0.0625]),
                      np.array([0.015625, 0.03125, 0.0, 0.0, 0.5]))
     s2 = dem.phase2_init(s)
-    assert s2.r.tolist() == [0.265625, 0.15625, 0.0, 0.0625, 0.5]
-    assert s2.z.tolist() == [0.0]
+    assert s2.r.tolist() == [0.265625, 0.15625, 0.0, 0.0625]
+    assert s2.z.tolist() == [0.0, 0.0, 0.0, 0.0, 0.5]
     assert s2.mass == s.mass
-    # the literal variant keeps the fully paired whites white, in z
+    # the literal variant keeps the fully paired whites white, in z_0
     s3 = dem.phase2_init(s, promote_fully_paired=False)
-    assert s3.r.tolist() == [0.25, 0.15625, 0.0, 0.0625, 0.5]
-    assert s3.z.tolist() == [0.015625]
+    assert s3.r.tolist() == [0.25, 0.15625, 0.0, 0.0625]
+    assert s3.z.tolist() == [0.015625, 0.0, 0.0, 0.0, 0.5]
     assert s3.mass == s.mass
+    for promote, seed in ((True, s2), (False, s3)):
+        rolled = dem.rollover(s, promote)
+        assert (seed.r.tolist(), seed.z.tolist()) == (rolled.r.tolist(), rolled.z.tolist())
 
 
 # -- single legs ------------------------------------------------------------
@@ -261,7 +259,8 @@ def test_fixed_leg_grid_spans_the_drain_time():
 
 
 def test_integrate_phase_validation():
-    s0 = dem.DemState(4, np.array([0.05, 0.1, 0.05, 0.02, 0.3]), np.zeros(1))
+    s0 = dem.DemState(4, np.array([0.05, 0.1, 0.05, 0.02]),
+                      np.array([0.0, 0.0, 0.0, 0.0, 0.3]))
     f = dem.rhs_phase2(4)
     with pytest.raises(ValueError):
         dem.integrate_phase(f, s0, [])
@@ -269,9 +268,6 @@ def test_integrate_phase_validation():
         dem.integrate_phase(f, s0, NEVER, mode="fixed")
     with pytest.raises(ValueError):
         dem.integrate_phase(f, s0, NEVER, mode="bogus")
-    # stage one is solved in closed form, never integrated
-    with pytest.raises(ValueError, match="stage-two"):
-        dem.integrate_phase(dem.rhs_phase1(4), dem.init_state(4, 1e-5), NEVER)
 
 
 # -- full runs --------------------------------------------------------------
@@ -323,13 +319,13 @@ def test_literal_promotion_variant_completes():
 @pytest.mark.parametrize("d", range(3, 11))
 def test_literal_variant_carries_paired_whites_into_stage_two(d):
     res = dem.run_dem(d, promote_fully_paired=False)
+    # every promotion keeps the mass, the last one (the hand-off) included
     for end, rolled in zip(res.round_end_states, res.post_roll_states):
         assert abs(rolled.mass - end.mass) <= dem.CLAMP_TOL
     handoff = res.handoff_state
-    s2 = dem.phase2_init(handoff, promote_fully_paired=False)
-    assert abs(s2.mass - handoff.mass) <= dem.CLAMP_TOL
     assert handoff.z[0] > 0.0
-    assert res.final_state.z.tolist() == [handoff.z[0]]
+    # stage two never touches them, and the hit-white classes stay empty
+    assert res.final_state.z[:d].tolist() == [handoff.z[0]] + [0.0] * (d - 1)
     assert "no_balance" not in res.flags
 
 
@@ -340,12 +336,14 @@ def test_stop_event_lands_the_promotion_on_the_target(dem_adaptive):
 
 
 def test_mass_losing_hand_off_raises(monkeypatch):
-    def dropping_relabel(s, promote_fully_paired=True):
-        r = np.append(s.r, s.z[s.d])  # the hit whites are left out
-        return dem.DemState(s.d, r, np.zeros(1))
+    # the hand-off is the last promotion, so the promotion check covers it
+    def dropping_rollover(s, promote_fully_paired=True):
+        z = np.zeros(s.d + 1)
+        z[s.d] = s.z[s.d]  # the hit whites are left out
+        return dem.DemState(s.d, s.r, z)
 
-    monkeypatch.setattr(dem, "phase2_init", dropping_relabel)
-    with pytest.raises(RuntimeError, match="hand-off"):
+    monkeypatch.setattr(dem, "rollover", dropping_rollover)
+    with pytest.raises(RuntimeError, match="promotion"):
         dem.run_dem(4)
 
 
@@ -372,10 +370,11 @@ def test_half_membership_pulls_back_to_the_half(monkeypatch, d, promote_fully_pa
     res, legs = _run_with_legs(
         monkeypatch, d, promote_fully_paired=promote_fully_paired
     )
-    h = np.ones(d + 1)
-    h[1] = h[d] = 0.0
+    h = np.zeros(2 * d + 1)
+    h[:d] = 1.0  # red classes 0 and 2..d-1; no white is in the half
+    h[1] = 0.0
     x, flags = dem.pull_back(
-        d, legs, np.concatenate([h, np.zeros(d + 1)]), promote_fully_paired
+        d, legs, np.concatenate([h, np.zeros(2 * d + 1)]), promote_fully_paired
     )
     assert flags == []
     seed = dem.init_state(d, res.eps)
@@ -391,9 +390,9 @@ def test_fully_paired_pulls_back_to_class_zero(monkeypatch, d):
     # with every neighbour counted in (h = 1), k is the chance of ending
     # fully paired, so the seed's k-weighted mass is r_0 at the end
     res, legs = _run_with_legs(monkeypatch, d)
-    k = np.zeros(d + 1)
+    k = np.zeros(2 * d + 1)
     k[0] = 1.0
-    x, _ = dem.pull_back(d, legs, np.concatenate([np.ones(d + 1), k]))
+    x, _ = dem.pull_back(d, legs, np.concatenate([np.ones(2 * d + 1), k]))
     seed = dem.init_state(d, res.eps)
     mass = np.concatenate([seed.r, seed.z]) @ x[2 * d + 1 :]
     assert mass == pytest.approx(res.final_state.r[0], abs=1e-7)

@@ -338,6 +338,18 @@ def test_load_edge_list_rejects_bad_pairs(tmp_path):
             load_edge_list(path)
 
 
+def test_load_edge_list_checks_the_simple_flag(tmp_path):
+    # a loop and a parallel edge: a multigraph, whatever the header says
+    path = tmp_path / "multi.txt"
+    pairs = "0 0\n0 1\n1 2\n1 3\n2 3\n2 3\n"
+    path.write_text("4 3 1\n" + pairs)
+    with pytest.raises(ValueError, match="simple"):
+        load_edge_list(path)
+    path.write_text("4 3 0\n" + pairs)
+    g = load_edge_list(path)
+    assert not g.simple and g.degree_check()
+
+
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 10**6))
 def test_save_load_identity_random_graphs(tmp_path_factory, seed):

@@ -106,6 +106,10 @@ def test_config_validation():
         with pytest.raises(ValueError, match="at least 1"):
             run_alg1(g, GreedyConfig(stop_fraction=stop_fraction))
     assert int(run_alg1(g, GreedyConfig(stop_fraction=0.01))[0].red.sum()) == 1
+    # a start vertex outside the graph
+    for x0 in (-1, 100):
+        with pytest.raises(ValueError, match="x0"):
+            run_alg1(g, GreedyConfig(x0=x0))
 
 
 def test_offset_one_uses_larger_seed_ball():

@@ -270,6 +270,26 @@ def test_round_profiles_track_fluid_limit():
     assert worst <= 0.01
 
 
+@pytest.mark.parametrize("d", [4, 6])
+def test_stage_two_profiles_track_fluid_limit(d):
+    """Mean class fractions after stage two, 3 seeds at n=2e4, stay within
+    0.01 per class of the fluid limit's final state, seeded at eps = d/n.
+    Both stages share one layout, so the comparison is slot for slot; a
+    red vertex never has d unpaired points. One seed alone can be off by
+    more (0.014 at d = 4 with both seeds 0), hence the mean."""
+    n = 20_000
+    ref = dem.run_dem(d, d / n).final_state
+    fractions = []
+    for i in range(3):
+        st, _ = run_alg2(n, d, seed=70 + i)
+        run_alg3(st, seed=80 + i)
+        fractions.append(st.class_fractions())
+    mean_r, mean_z = np.mean(fractions, axis=0)
+    assert mean_r[d] == 0.0
+    assert np.abs(mean_r[:d] - ref.r).max() <= 0.01
+    assert np.abs(mean_z - ref.z).max() <= 0.01
+
+
 @pytest.mark.parametrize(
     "d, promote_fully_paired", [(3, True), (5, True), (5, False)]
 )
