@@ -183,16 +183,6 @@ def rhs_phase2_fallback(d: int):
 # -- the exact stage-one round ---------------------------------------------
 
 
-def _thin(x: np.ndarray, lose: float, binom: np.ndarray) -> np.ndarray:
-    """Class sizes after each point is lost with probability lose; binom
-    holds C(j, i) at [i, j]."""
-    lose = min(max(lose, 0.0), 1.0)
-    n = x.size
-    j = np.arange(n)
-    i = j[:, None]
-    return (binom[:n, :n] * (1.0 - lose) ** i * lose ** np.maximum(j - i, 0)) @ x
-
-
 class ExactRound:
     """Exact solution of `rhs_phase1` over one stage-one round from s0.
 
@@ -214,6 +204,19 @@ class ExactRound:
         j = range(s0.d + 1)
         self._binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)
 
+    def _lost(self, u: float) -> tuple[float, float]:
+        """The chance that a red and that a white point is paired by u."""
+        red = u * (1.0 + self.A * (1.0 - u) / self.p0) if u > 0.0 else 0.0
+        return min(max(red, 0.0), 1.0), min(max(u, 0.0), 1.0)
+
+    def _thinning(self, n: int, keep: float, weight: float) -> np.ndarray:
+        """M[i, j] = C(j, i) keep^i weight^(j-i) over n classes. With weight
+        = 1 - keep, M @ x is the class sizes once each point is kept with
+        probability keep, and M.T @ h pulls a function of the class back."""
+        j = np.arange(n)
+        i = j[:, None]
+        return self._binom[:n, :n] * keep**i * weight ** np.maximum(j - i, 0)
+
     def t_at(self, u: float) -> float:
         return 0.5 * self.A * u * (2.0 - u)
 
@@ -221,9 +224,32 @@ class ExactRound:
         return 2.0 * t / (self.A + math.sqrt(self.A * max(self.A - 2.0 * t, 0.0)))
 
     def state(self, u: float) -> DemState:
-        red_lose = u * (1.0 + self.A * (1.0 - u) / self.p0) if u > 0.0 else 0.0
-        s0, binom = self.s0, self._binom
-        return DemState(s0.d, _thin(s0.r, red_lose, binom), _thin(s0.z, u, binom))
+        s0, (red, white) = self.s0, self._lost(u)
+        r = self._thinning(s0.d, 1.0 - red, red) @ s0.r
+        return DemState(s0.d, r, self._thinning(s0.d + 1, 1.0 - white, white) @ s0.z)
+
+    def pull_back(self, u: float, x: np.ndarray) -> np.ndarray:
+        """[h, k] at the start of the round from [h, k] at u: the exact
+        solution of the readout's backward equations (see that section).
+
+        h pulls back through the transposed thinning of `state`, and so
+        does k, with a lost point weighted by g, the chance that it is
+        lost and its partner ends in the half. At time t the partner's
+        expected h is (C_r + C_w) / p_all for a red point paired as a first
+        point and C_r / p_red for any point paired as a second, where
+        C_r = (p_red / p0) c_r and C_w = (s / sqrt(A)) c_w; g_r and g_w
+        integrate the loss rate times that over the round."""
+        s0, d, (red, white) = self.s0, self.s0.d, self._lost(u)
+        size = 2 * d + 1
+        h_r = self._thinning(d, 1.0 - red, red).T @ x[:d]
+        h_w = self._thinning(d + 1, 1.0 - white, white).T @ x[d:size]
+        c_r = float(np.arange(1, d) @ (s0.r[1:] * h_r[:-1]))
+        c_w = float(np.arange(1, d + 1) @ (s0.z[1:] * h_w[:-1]))
+        g_r = (2.0 * c_r * (u - self.A * u * u / (2.0 * self.p0)) + c_w * u) / self.p0
+        g_w = c_r * u / self.p0
+        k_r = self._thinning(d, 1.0 - red, g_r).T @ x[size : size + d]
+        k_w = self._thinning(d + 1, 1.0 - white, g_w).T @ x[size + d :]
+        return np.concatenate([h_r, h_w, k_r, k_w])
 
     def vector(self, t: float) -> np.ndarray:
         """[r, z] at time t into the round."""
@@ -319,6 +345,19 @@ def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
 # from h = 1 on the half's classes (red 0 and 2..d-1) and k = 1 on red 0 at
 # the end. The interior is then the sum over the seed's vertices of k times
 # the product of h over their neighbours.
+#
+# Stage-two legs solve these equations numerically along their stored
+# path. A stage-one round solves them exactly (`ExactRound.pull_back`):
+# there a vertex loses each point independently, a white one by u with
+# probability u and a red one with probability l = u (1 + A (1 - u) / p0),
+# so per block (red r_0..r_{d-1}, white z_0..z_d)
+#
+#   h_start[j] = sum_i C(j, i) (1 - l)^i l^(j-i) h_end[i]
+#   k_start[j] = sum_i C(j, i) (1 - l)^i g^(j-i) k_end[i]
+#
+# with g_r = (2 c_r (u - A u^2 / (2 p0)) + c_w u) / p0, g_w = c_r u / p0,
+# c_r = sum_j j r_j h^r_{j-1} and c_w = sum_j j z_j h^w_{j-1} at the
+# round's start (A, p0: points_all and points_red there).
 
 READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
@@ -329,13 +368,17 @@ READOUT_LEG_POINTS = 256  # path samples per fixed-grid leg
 class Leg:
     """One leg of a run as the readout needs it. kind names the right-hand
     side it follows: "one" (`rhs_phase1`, a stage-one round), "two"
-    (`rhs_phase2`) or "fallback" (`rhs_phase2_fallback`); at maps a time
-    in [0, span] to the state vector there, [r_0..r_{d-1}, z_0..z_d] for
-    every kind (see `run_dem`)."""
+    (`rhs_phase2`) or "fallback" (`rhs_phase2_fallback`). A stage-two leg
+    carries its path: at maps a time in [0, span] to the state vector
+    there, [r_0..r_{d-1}, z_0..z_d], and the readout integrates the
+    backward equations along it. A round carries its `ExactRound` and the
+    u it stops at, and pulls back exactly (`ExactRound.pull_back`)."""
 
     kind: str
     span: float
-    at: Callable[[float], np.ndarray]
+    at: Callable[[float], np.ndarray] | None = None
+    round: ExactRound | None = None
+    u: float = 0.0
 
 
 def _path_interpolant(t: np.ndarray, y: np.ndarray):
@@ -359,8 +402,9 @@ def _path_interpolant(t: np.ndarray, y: np.ndarray):
 
 
 def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
-    """[h, k] at the start of a leg from [h, k] at its end; returns the
-    solver status too."""
+    """[h, k] at the start of a leg from [h, k] at its end, by solving the
+    backward equations along leg.at; returns the solver status too.
+    `pull_back` runs it on stage-two legs; rounds pull back exactly."""
     pts, down, first = _leg_layout(d, leg.kind)
     size = pts.size
 
@@ -395,15 +439,16 @@ def pull_back(
 ) -> tuple[np.ndarray, list]:
     """Carry [h, k] from the end of a run back to its seed through the legs
     of the run and the promotion that ends each round (the last one is the
-    hand-off); returns it with the flags of any leg whose backward solve
-    did not finish."""
+    hand-off): rounds exactly, stage-two legs by a backward solve; returns
+    it with the flags of any backward solve that did not finish."""
     if not legs or legs[0].kind != "one":
         raise ValueError("a run starts with a stage-one leg")
     m = _transition(d, promote_fully_paired)
     flags = []
     for leg in reversed(legs):
         if leg.kind == "one":
-            x = _relabel(x, m)
+            x = leg.round.pull_back(leg.u, _relabel(x, m))
+            continue
         x, status = _pull_back_leg(d, leg, x)
         if status != "t_end":
             flags.append(f"readout_{status}")
@@ -550,7 +595,7 @@ def run_dem(
         u = rnd.stop_u(stop_fraction, promote_fully_paired)
         u = rnd.u_end if u is None else u
         end = rnd.state(u)
-        legs.append(Leg("one", rnd.t_at(u), rnd.vector))
+        legs.append(Leg("one", rnd.t_at(u), round=rnd, u=u))
         res.round_end_states.append(end)
         rolled = rollover(end, promote_fully_paired)
         gap = rolled.mass - end.mass

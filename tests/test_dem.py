@@ -135,6 +135,37 @@ def test_exact_round_matches_integrated_rhs(d):
         assert end.r.min() >= 0.0 and end.z.min() >= 0.0
 
 
+@pytest.mark.parametrize("d", range(3, 11))
+@pytest.mark.parametrize("promote_fully_paired", [True, False])
+def test_exact_round_pull_back_matches_backward_solve(
+    monkeypatch, d, promote_fully_paired
+):
+    # the oracle: the backward equations solved along the exact round's
+    # path, from the seed, from a promoted random state (the start of a
+    # later round) and from a random state with every white class filled.
+    # At the readout's own tolerance the solve is off by up to 2.5e-8, so
+    # the oracle runs at the stage-one oracle's rtol
+    monkeypatch.setattr(dem, "READOUT_RTOL", 1e-10)
+    monkeypatch.setattr(dem, "READOUT_ATOL", 1e-12)
+    rng = np.random.default_rng([60 + d, promote_fully_paired])
+    rand = _random_stage_one_state(d, rng)
+    starts = (dem.init_state(d, 1e-5), dem.rollover(rand, promote_fully_paired), rand)
+    for s0 in starts:
+        rnd = dem.ExactRound(s0)
+        for u in (0.5 * rnd.u_end, rnd.u_end):
+            x = rng.uniform(0.0, 1.0, 2 * (2 * d + 1))
+            leg = dem.Leg("one", rnd.t_at(u), rnd.vector)
+            oracle, status = dem._pull_back_leg(d, leg, x)
+            assert status == "t_end"
+            got = rnd.pull_back(u, x)
+            assert np.abs(got - oracle).max() <= 1e-9
+            # h is a martingale along a vertex's chain, exactly
+            h_start, h_end = got[: 2 * d + 1], x[: 2 * d + 1]
+            assert s0.vector @ h_start == pytest.approx(
+                rnd.state(u).vector @ h_end, abs=1e-12
+            )
+
+
 @pytest.mark.parametrize("promote_fully_paired", [True, False])
 def test_stop_is_the_first_crossing_of_the_target(promote_fully_paired):
     # a round of the default d = 4 run, with a target halfway through its
@@ -403,10 +434,16 @@ def test_readout_within_class_bounds(promote_fully_paired):
     # the interior is at most the fully paired red mass, and loses at most
     # d - 1 vertices per class-1 vertex and d per white left white; 1e-7
     # covers the backward solve and the path interpolant. Over the config
-    # grid every backward solve finishes and every run balances.
-    for d, sf, eps in itertools.product(range(3, 11), (0.5, 0.3), (None, "d/n")):
+    # grid, fixed mode at 125 000 steps included, every backward solve
+    # finishes and every run balances.
+    grid = itertools.product(range(3, 11), (0.5, 0.3), (None, "d/n"), ("adaptive",))
+    fixed = ((d, 0.5, None, "fixed") for d in range(3, 11))
+    for d, sf, eps, mode in itertools.chain(grid, fixed):
         eps = d / 1e5 if eps == "d/n" else eps
-        res = dem.run_dem(d, eps, sf, promote_fully_paired=promote_fully_paired)
+        res = dem.run_dem(
+            d, eps, sf, mode=mode, steps=125_000,
+            promote_fully_paired=promote_fully_paired,
+        )
         assert not [f for f in res.flags if f.startswith(("readout_", "no_balance"))]
         end = res.final_state
         lost = (d - 1) * end.r[1] + d * end.z[0]

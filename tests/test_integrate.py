@@ -29,6 +29,18 @@ def test_adaptive_exponential_decay():
     assert abs(res.y[0] - math.exp(-2)) < 1e-9
 
 
+def test_constant_entries_leave_the_step_count_alone():
+    # the error norm is over the entries that move: padding the harmonic
+    # oscillator with entries that never change takes the same steps
+    def padded(t, y):
+        return np.concatenate([_harmonic(t, y[:2]), np.zeros(y.size - 2)])
+
+    base = solve_adaptive(_harmonic, 0.0, np.array([0.0, 1.0]), math.pi)
+    pad = solve_adaptive(padded, 0.0, np.array([0.0, 1.0] + [0.5] * 6), math.pi)
+    assert (pad.n_steps, pad.n_rejected) == (base.n_steps, base.n_rejected)
+    assert np.abs(pad.y[:2] - base.y).max() <= 1e-14
+
+
 def test_adaptive_harmonic_half_period():
     res = solve_adaptive(_harmonic, 0.0, np.array([0.0, 1.0]), math.pi)
     assert abs(res.y[0]) < 1e-8
