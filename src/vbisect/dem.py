@@ -10,20 +10,19 @@ hit whites z_0..z_{d-1} are promoted into the red block and the next
 round starts. Stage one stops mid-round, at the moment the mass a
 promotion would make red (1 - z_d, less z_0 when fully paired whites stay
 white) reaches the target fraction. The promotion of that state is the
-hand-off: it seeds stage two with all of the mass, and stage two is
-integrated numerically, draining the low red classes until the balance
-event. The bound is the width of the balanced partition the simulation
-builds (the red set less class 1), read off in the fluid limit by a
-backward pass along the path (see the readout section).
+hand-off: it seeds stage two with all of the mass, and stage two is one
+numerically integrated leg, draining the low red classes until the
+balance event. The bound is the width of the balanced partition the
+simulation builds (the red set less class 1), read off in the fluid limit
+by a backward pass along the path (see the readout section).
 
 The process is defined once: `_leg_layout` gives each leg's point
 counts, moves and first-point pool, from which the right-hand sides and
 the readout's backward pass are built, and `_transition` maps each class
 through a promotion, forward for the run and backward for the readout.
 The right-hand sides are conservative: component sums vanish up to
-rounding. The transitions (the promotions and the stage-two negativity
-clamp) only move mass between classes; `run_dem` raises if a promotion
-changes the total by more than CLAMP_TOL.
+rounding. The promotions only move mass between classes; `run_dem`
+raises if one changes the total by more than CLAMP_TOL.
 """
 
 from __future__ import annotations
@@ -38,17 +37,15 @@ from .integrate import Event, IntResult, solve_adaptive, solve_fixed
 
 DELTA_STOP = 1e-9  # point-count guard, in fractions of n
 EPS_NEG = 1e-12  # negativity tolerance
-CLAMP_TOL = 1e-9  # the stage-two clamp zeroes entries in (-CLAMP_TOL, 0);
-#                   covers the slack the event bisection leaves past -EPS_NEG
+CLAMP_TOL = 1e-9  # the most a promotion may change the total mass by
 EPS_DEFAULT = 1e-5
 EPS_DEFAULT_D9 = 1e-4  # lands d = 9 near the table (0.88633 vs 0.88097);
 #                       1e-5 also runs without flags, at 0.90858
-FIXED_LEG_SHARE = 32  # fixed mode: each leg's grid gets steps/FIXED_LEG_SHARE
+FIXED_LEG_SHARE = 32  # fixed mode: stage two's grid gets steps/FIXED_LEG_SHARE
 FIXED_MIN_LEG_STEPS = 256
 MAX_LEG_TIME = 64.0
 MAX_ROUNDS = 400
-MAX_STAGE2_LEGS = 50
-RTOL, ATOL = 1e-10, 1e-12  # adaptive stage-two legs
+RTOL, ATOL = 1e-10, 1e-12  # adaptive stage two
 
 
 @dataclass
@@ -101,7 +98,7 @@ class DemRunResult:
     alpha_upper: float
     round_end_states: list = field(default_factory=list)  # stage 1, pre-promotion
     post_roll_states: list = field(default_factory=list)  # the last seeds stage 2
-    stage2_states: list = field(default_factory=list)  # end state of each leg
+    stage2_states: list = field(default_factory=list)  # the stage-two leg's end, if run
     final_state: DemState | None = None
     flags: list = field(default_factory=list)
     n_steps: int = 0
@@ -123,7 +120,8 @@ class DemRunResult:
 def _leg_layout(d: int, kind: str):
     """(unpaired points, index of the state one point down, mask of the
     states that give first points) over [r_0..r_{d-1}, z_0..z_d] for a leg
-    of kind "one" (a stage-one round), "two" or "fallback" (stage two).
+    of kind "one" (a stage-one round), "two" (stage two) or "fallback"
+    (stage two drawn from every red class, which `run_dem` never runs).
 
     The kinds differ as the simulation's `expose_step(low_max,
     color_on_hit)` calls do. A hit white z_j keeps its colour (to z_{j-1})
@@ -173,10 +171,11 @@ def rhs_phase2(d: int):
 
 
 def rhs_phase2_fallback(d: int):
-    """Stage-two derivative once the low classes are exhausted: as
-    `rhs_phase2`, but first points are drawn from every red class
-    1..d-1, as the simulation's fallback draws them from all red unpaired
-    points."""
+    """Stage-two derivative with first points from every red class 1..d-1,
+    as the simulation's fallback draws them from all red unpaired points
+    once the low classes are exhausted. `run_dem` never integrates it:
+    from a hand-off on target, stage two balances before the low classes
+    run dry (see `run_dem`)."""
     return _leg_rhs(d, "fallback")
 
 
@@ -346,7 +345,7 @@ def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
 # the end. The interior is then the sum over the seed's vertices of k times
 # the product of h over their neighbours.
 #
-# Stage-two legs solve these equations numerically along their stored
+# The stage-two leg solves these equations numerically along its stored
 # path. A stage-one round solves them exactly (`ExactRound.pull_back`):
 # there a vertex loses each point independently, a white one by u with
 # probability u and a red one with probability l = u (1 + A (1 - u) / p0),
@@ -367,12 +366,13 @@ READOUT_LEG_POINTS = 256  # path samples per fixed-grid leg
 @dataclass
 class Leg:
     """One leg of a run as the readout needs it. kind names the right-hand
-    side it follows: "one" (`rhs_phase1`, a stage-one round), "two"
-    (`rhs_phase2`) or "fallback" (`rhs_phase2_fallback`). A stage-two leg
-    carries its path: at maps a time in [0, span] to the state vector
-    there, [r_0..r_{d-1}, z_0..z_d], and the readout integrates the
-    backward equations along it. A round carries its `ExactRound` and the
-    u it stops at, and pulls back exactly (`ExactRound.pull_back`)."""
+    side it follows, as in `_leg_layout`: a run has one "one" leg
+    (`rhs_phase1`) per stage-one round, then at most one "two" leg
+    (`rhs_phase2`). The stage-two leg carries its path: at maps a time in
+    [0, span] to the state vector there, [r_0..r_{d-1}, z_0..z_d], and the
+    readout integrates the backward equations along it. A round carries
+    its `ExactRound` and the u it stops at, and pulls back exactly
+    (`ExactRound.pull_back`)."""
 
     kind: str
     span: float
@@ -404,13 +404,13 @@ def _path_interpolant(t: np.ndarray, y: np.ndarray):
 def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
     """[h, k] at the start of a leg from [h, k] at its end, by solving the
     backward equations along leg.at; returns the solver status too.
-    `pull_back` runs it on stage-two legs; rounds pull back exactly."""
+    `pull_back` runs it on the stage-two leg; rounds pull back exactly."""
     pts, down, first = _leg_layout(d, leg.kind)
     size = pts.size
 
     def f(s: float, x: np.ndarray) -> np.ndarray:  # s runs backward from span
-        # a stage-two interpolant may dip below 0 where a pool runs dry;
-        # the guard events end a leg before a pool falls under DELTA_STOP
+        # the interpolant may dip below 0 where a class runs dry; the
+        # balance event ends stage two before the low pool does
         w = pts * np.maximum(leg.at(leg.span - s), 0.0)
         p_all = max(float(w.sum()), DELTA_STOP)
         p_first = max(float(w @ first), DELTA_STOP)
@@ -439,8 +439,8 @@ def pull_back(
 ) -> tuple[np.ndarray, list]:
     """Carry [h, k] from the end of a run back to its seed through the legs
     of the run and the promotion that ends each round (the last one is the
-    hand-off): rounds exactly, stage-two legs by a backward solve; returns
-    it with the flags of any backward solve that did not finish."""
+    hand-off): rounds exactly, the stage-two leg by a backward solve;
+    returns it with the flags of a backward solve that did not finish."""
     if not legs or legs[0].kind != "one":
         raise ValueError("a run starts with a stage-one leg")
     m = _transition(d, promote_fully_paired)
@@ -484,11 +484,6 @@ def interior_mass(
 
 def _ev_negativity() -> Event:
     return Event(lambda t, y: float(y.min()) + EPS_NEG, direction=-1, name="negativity")
-
-
-def _ev_guard(weights: np.ndarray, name: str) -> Event:
-    w = weights
-    return Event(lambda t, y: float(w @ y) - DELTA_STOP, direction=-1, name=name)
 
 
 def _ev_balance(d: int, frac: float) -> Event:
@@ -535,7 +530,7 @@ def integrate_phase(
 
 
 def _fixed_leg_grid(leg_steps: int, p_all: float):
-    """Uniform RK4 grid for one stage-two leg of the fixed mode.
+    """Uniform RK4 grid for stage two in the fixed mode.
 
     Every exposure removes two unpaired points, so all of them are gone
     by p_all/2 and every stopping event lands before it; a 1/16 margin
@@ -560,16 +555,20 @@ def run_dem(
     Stage one is solved exactly, round by round (`ExactRound`), in both
     modes; it ends mid-round where a promotion would first make a red mass
     of stop_fraction. That state is handoff_state, and its promotion, the
-    last of stage one, seeds stage two in the same layout. mode and steps
+    last of stage one, seeds stage two in the same layout. Stage two is
+    one leg of `rhs_phase2` to the balance event, skipped (flag
+    "balance_at_entry") when the seed already balances. mode and steps
     act on stage two only: mode "adaptive" uses the embedded 5(4) pair at
-    tight tolerance; mode "fixed" uses classical RK4 on uniform per-leg
-    grids, each leg taking an equal share of the step budget over a span
-    sized from the point-pool drain. alpha_upper is the boundary of the
-    balanced half over stop_fraction, 1 - interior_mass / stop_fraction,
-    from the paths of all legs. Runs whose stage two cannot reach balance
-    (exhausted point pools) read off at the stopped state and carry
-    explanatory flags. Raises RuntimeError if a promotion changes the
-    total mass by more than CLAMP_TOL.
+    tight tolerance; mode "fixed" uses classical RK4 on a uniform grid of
+    steps / FIXED_LEG_SHARE steps over a span sized from the point-pool
+    drain. alpha_upper is the boundary of the balanced half over
+    stop_fraction, 1 - interior_mass / stop_fraction, from the paths of
+    all legs. A run that does not balance reads off at the state where it
+    stopped and is flagged "no_balance": stage one capped at MAX_ROUNDS
+    ("round_cap", and no stage two), or a stage-two leg that ends on
+    anything but balance ("stage2_<event or solver status>"). Raises
+    RuntimeError if a promotion changes the total mass by more than
+    CLAMP_TOL.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -578,17 +577,15 @@ def run_dem(
     if eps is None:
         eps = EPS_DEFAULT_D9 if d == 9 else EPS_DEFAULT
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)
-    h_fixed: float | None = None
-    t_cap = MAX_LEG_TIME
     # stage-two path samples for the readout: every accepted step of the
-    # adaptive solver, about READOUT_LEG_POINTS per leg of the fixed grid
-    # (128 per leg already moves the readout by less than 1e-7)
+    # adaptive solver, about READOUT_LEG_POINTS on the fixed grid (128
+    # already move the readout by less than 1e-7)
     sample = 1 if mode == "adaptive" else max(1, leg_steps // READOUT_LEG_POINTS)
 
     res = DemRunResult(
         d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
     )
-    legs: list[Leg] = []  # one per round, then one per stage-two leg
+    legs: list[Leg] = []  # one per round, then the stage-two leg
     state = init_state(d, eps)
     while True:
         rnd = ExactRound(state)
@@ -611,80 +608,37 @@ def run_dem(
             res.flags.append("round_cap")
             break
 
-    f2 = rhs_phase2(d)
-    f2_fb = rhs_phase2_fallback(d)
-    # point weights of the first-point pools: the low classes, all red ones
-    pts, _, first = _leg_layout(d, "two")
-    w_low, w_red = pts * first, pts * _leg_layout(d, "fallback")[2]
-
     balance = _ev_balance(d, stop_fraction)
-    guard_low = _ev_guard(w_low, "guard_low_points")
-    guard_red = _ev_guard(w_red, "guard_red_points")
-    done = False
-    in_fallback = False
-    for _ in range(MAX_STAGE2_LEGS):
-        # entry checks: events cannot fire on a pool that is already dead
-        y = state.vector
-        if guard_red(0.0, y) <= 0.0:
-            res.flags.append("red_exhausted")
-            break
-        if balance(0.0, y) >= 0.0:
-            res.flags.append("balance_at_entry")
-            done = True
-            break
-        if not in_fallback and guard_low(0.0, y) <= 0.0:
-            in_fallback = True
-        if in_fallback:
-            if "l_exhausted" not in res.flags:
-                res.flags.append("l_exhausted")
-            rhs = f2_fb
-            guards = [guard_red]
-        else:
-            rhs = f2
-            guards = [guard_low, guard_red]
-        if mode == "fixed":
-            h_fixed, t_cap = _fixed_leg_grid(leg_steps, state.points_all)
+    if "round_cap" in res.flags:  # short of the target: nothing to balance
+        res.flags.append("no_balance")
+    elif balance(0.0, state.vector) >= 0.0:
+        res.flags.append("balance_at_entry")
+    else:
+        # one leg to the balance event, red mass less r_1 reaching
+        # stop_fraction. The red mass never falls and starts at least
+        # stop_fraction, and each class-1 vertex holds a low-pool point, so
+        # the event fires no later than the low pool runs dry
+        h_fixed, t_cap = (
+            _fixed_leg_grid(leg_steps, state.points_all)
+            if mode == "fixed"
+            else (None, MAX_LEG_TIME)
+        )
         end, fired, raw = integrate_phase(
-            rhs,
+            rhs_phase2(d),
             state,
-            [balance, _ev_negativity()] + guards,
+            [balance, _ev_negativity()],
             mode=mode,
             h_fixed=h_fixed,
             t_max=t_cap,
             keep_every=sample,
         )
-        res.n_steps += raw.n_steps
-        res.n_rejected += raw.n_rejected
+        res.n_steps, res.n_rejected = raw.n_steps, raw.n_rejected
         ts, ys = map(np.array, zip(*raw.path))
-        kind = "fallback" if in_fallback else "two"
-        legs.append(Leg(kind, float(ts[-1]), _path_interpolant(ts, ys)))
+        legs.append(Leg("two", float(ts[-1]), _path_interpolant(ts, ys)))
         res.stage2_states.append(end)
         state = end
-        if fired == "balance":
-            done = True
-            break
-        if fired == "negativity":
-            # a class pinned at zero would re-trip forever under the same
-            # rhs; the exhausted-pool dynamics take over after clamping
-            if "stage2_clamp" not in res.flags:
-                res.flags.append("stage2_clamp")
-            y = state.vector
-            np.copyto(y, 0.0, where=(y < 0.0) & (y > -CLAMP_TOL))
-            state = DemState.from_vector(d, y)
-            in_fallback = True
-            continue
-        if fired == "guard_low_points":
-            in_fallback = True
-            continue
-        if fired == "guard_red_points":
-            res.flags.append(fired)
-            break
-        res.flags.append(f"stage2_{raw.status}")
-        break
-    else:
-        res.flags.append("stage2_leg_cap")
-    if not done:
-        res.flags.append("no_balance")
+        if fired != "balance":
+            res.flags += [f"stage2_{fired or raw.status}", "no_balance"]
 
     res.final_state = state
     interior, readout_flags = interior_mass(d, eps, legs, promote_fully_paired)

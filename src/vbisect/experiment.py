@@ -108,7 +108,16 @@ def records_from_csv(path) -> list[RunRecord]:
         if reader.fieldnames != RECORD_FIELDS:
             raise ValueError(f"{path}: {_layout_error(reader.fieldnames)}")
         cols = [(f.name, _PARSE[f.type]) for f in fields(RunRecord)]
-        return [RunRecord(**{k: parse(row[k]) for k, parse in cols}) for row in reader]
+        records = []
+        for row in reader:
+            where = f"{path}, line {reader.line_num}"
+            if None in row or None in row.values():  # extra or missing cells
+                raise ValueError(f"{where}: expected {len(cols)} cells")
+            try:
+                records.append(RunRecord(**{k: parse(row[k]) for k, parse in cols}))
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+        return records
 
 
 def write_manifest(out_dir, command: str, config: dict) -> Path:

@@ -64,7 +64,7 @@ def run_alg1(
     r_crit, b0, b1, b2 = critical_balls(
         np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction
     )
-    r0 = r_crit - cfg.r0_offset
+    r0 = max(r_crit - cfg.r0_offset, 0)  # at least x0 itself
     color = bytearray(n)
     size_red = 0
     for layer in layers[: r0 + 1]:

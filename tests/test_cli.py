@@ -46,6 +46,15 @@ def test_missing_records_file_exits_two(tmp_path, capsys):
     assert rc == 2
 
 
+def test_truncated_records_file_exits_two(tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    assert main(["dem", "--d", "3", "--out", str(tmp_path)]) == 0
+    path.write_text(path.read_text().rsplit(",", 2)[0] + "\n")
+    capsys.readouterr()
+    assert main(["report", str(path)]) == 2
+    assert "line 2: expected" in capsys.readouterr().err
+
+
 def test_alg1_snapshot_artifacts(tmp_path, capsys):
     rc = main(["alg1", "--d", "3", "--n", "200", "--runs", "2", "--graphs", "2",
                "--seed", "4", "--out", str(tmp_path)])

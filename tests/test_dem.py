@@ -321,6 +321,23 @@ def test_high_degrees_fail_to_balance(d, dem_adaptive):
     assert res.alpha_upper > 0.5
 
 
+def test_round_capped_stage_one_hands_nothing_to_stage_two(monkeypatch):
+    # three rounds leave d = 4 far short of the target, so no stage two
+    # can balance: the run reads off where stage one stopped
+    monkeypatch.setattr(dem, "MAX_ROUNDS", 3)
+    res = dem.run_dem(4)
+    assert res.flags == ["round_cap", "no_balance"]
+    assert res.stage2_states == []
+
+
+def test_stage_two_leg_ending_off_balance_is_flagged():
+    # a coarse fixed grid steps a class of this run below zero before
+    # the half balances; the run stops there and says so
+    res = dem.run_dem(8, 8e-5, 0.2, mode="fixed", steps=125_000)
+    assert res.flags == ["stage2_negativity", "no_balance"]
+    assert len(res.stage2_states) == 1
+
+
 def test_handoff_precedes_the_crossing_promotion(dem_adaptive):
     res = dem_adaptive[4]
     assert res.handoff_state.red_mass < res.stop_fraction
@@ -435,7 +452,7 @@ def test_readout_within_class_bounds(promote_fully_paired):
     # d - 1 vertices per class-1 vertex and d per white left white; 1e-7
     # covers the backward solve and the path interpolant. Over the config
     # grid, fixed mode at 125 000 steps included, every backward solve
-    # finishes and every run balances.
+    # finishes and every run balances in one stage-two leg.
     grid = itertools.product(range(3, 11), (0.5, 0.3), (None, "d/n"), ("adaptive",))
     fixed = ((d, 0.5, None, "fixed") for d in range(3, 11))
     for d, sf, eps, mode in itertools.chain(grid, fixed):
@@ -445,6 +462,7 @@ def test_readout_within_class_bounds(promote_fully_paired):
             promote_fully_paired=promote_fully_paired,
         )
         assert not [f for f in res.flags if f.startswith(("readout_", "no_balance"))]
+        assert len(res.stage2_states) == 1
         end = res.final_state
         lost = (d - 1) * end.r[1] + d * end.z[0]
         assert 1.0 - end.r[0] / sf - 1e-7 <= res.alpha_upper

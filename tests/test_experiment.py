@@ -85,6 +85,16 @@ def test_csv_rejects_a_bool_cell_other_than_true_or_false(tmp_path):
         records_from_csv(path)
 
 
+def test_csv_rejects_a_row_with_missing_or_extra_cells(tmp_path):
+    path = tmp_path / "records.csv"
+    records_to_csv(_sample_records(), path)
+    lines = path.read_text().splitlines()
+    for row in (lines[2].rsplit(",", 3)[0], lines[2] + ",extra"):
+        path.write_text("\n".join([*lines[:2], row, lines[3]]) + "\n")
+        with pytest.raises(ValueError, match=f"{path}, line 3: expected"):
+            records_from_csv(path)
+
+
 def test_manifest_contents(tmp_path):
     p = write_manifest(tmp_path, "alg1", {"d": 4, "n": 100})
     data = json.loads(p.read_text())

@@ -20,8 +20,10 @@ def test_k4_partition_is_fully_exposed():
     assert int(bis.red.sum()) == 2
     assert bis.width == 2
     assert bis.alpha == 1.0
-    # n=4 leaves no room for greedy growth; the balancing pass finishes it
-    assert trace.exhaustion_fallback
+    # backing off two radii from radius 1 leaves x0 alone, and phase two
+    # colours one of its neighbours; the random fill never runs
+    assert bis.red[trace.x0] and trace.phase2_steps == 1
+    assert not trace.exhaustion_fallback
 
 
 def test_red_half_size_is_floor_of_half():
@@ -77,10 +79,20 @@ def test_small_component_triggers_fallback():
 
 
 def test_disconnected_graph_fallback_still_balances():
-    bis, trace = run_alg1(two_k4s(), GreedyConfig(seed=0, x0=0))
+    # three K4s: x0's K4 is smaller than the half, so the fallback
+    # colours the rest
+    adj = np.array([[b + j for j in range(4) if j != i]
+                    for b in (0, 4, 8) for i in range(4)], dtype=np.int32)
+    g = RegularGraph(12, 3, adj, True)
+    bis, trace = run_alg1(g, GreedyConfig(seed=0, x0=0))
     assert trace.exhaustion_fallback
-    assert int(bis.red.sum()) == 4
-    assert bis.width >= brute_force_vbw(two_k4s())
+    assert int(bis.red.sum()) == 6
+    assert bis.width >= brute_force_vbw(g)
+    # two K4s: x0's K4 is the half, and phase two fills it
+    bis, trace = run_alg1(two_k4s(), GreedyConfig(seed=0, x0=0))
+    assert not trace.exhaustion_fallback
+    assert bis.red.nonzero()[0].tolist() == [0, 1, 2, 3]
+    assert bis.width == 0
 
 
 def test_width_never_beats_brute_force():
@@ -105,7 +117,10 @@ def test_config_validation():
     for stop_fraction in (0.005, 0.0099):
         with pytest.raises(ValueError, match="at least 1"):
             run_alg1(g, GreedyConfig(stop_fraction=stop_fraction))
-    assert int(run_alg1(g, GreedyConfig(stop_fraction=0.01))[0].red.sum()) == 1
+    # backing off two radii from radius 1 leaves the ball of x0 alone
+    bis, trace = run_alg1(g, GreedyConfig(stop_fraction=0.01))
+    assert bis.red.nonzero()[0].tolist() == [trace.x0]
+    assert not trace.exhaustion_fallback
     # a start vertex outside the graph
     for x0 in (-1, 100):
         with pytest.raises(ValueError, match="x0"):
