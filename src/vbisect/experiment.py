@@ -222,20 +222,26 @@ def cmd_alg1(
     out=None,
 ):
     """graphs fresh graphs x runs greedy executions, in job order (graph,
-    then run); per-graph avg/max/min plus the grand mean."""
-    jobs = []
-    for gi in range(graphs):
+    then run); per-graph avg/max/min plus the grand mean. Run serially, a
+    graph's runs follow its draw, and its cached rows are dropped before
+    the next draw, so one graph's rows are alive at a time."""
+
+    def draw(gi):
         g = _graph(n, d, seed, gi, strategy)
-        jobs += [
-            (RunRecord("alg1", d, n, f"{seed}:{gi}:{ri}", r0_offset, 0.0,
-                       stop_fraction=stop_fraction, strategy=strategy), g)
-            for ri in range(runs)
-        ]
-    if workers > 1 and len(jobs) > 1:
+        return g, [RunRecord("alg1", d, n, f"{seed}:{gi}:{ri}", r0_offset, 0.0,
+                             stop_fraction=stop_fraction, strategy=strategy)
+                   for ri in range(runs)]
+
+    if workers > 1 and graphs * runs > 1:
+        jobs = [(rec, g) for g, recs in map(draw, range(graphs)) for rec in recs]
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(run_record, *zip(*jobs)))
     else:
-        done = [run_record(rec, g) for rec, g in jobs]
+        done = []
+        for gi in range(graphs):
+            g, recs = draw(gi)
+            done += [run_record(rec, g) for rec in recs]
+            g.drop_rows()
     records = [rec for rec, _ in done]
 
     per_graph = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,18 @@ class RegularGraph:
     d: int
     adjacency: np.ndarray  # shape (n, d), int32
     simple: bool
+
+    @cached_property
+    def rows(self) -> list[list[int]]:
+        """adjacency.tolist(): the neighbor table as Python ints, built on
+        first access and kept on the graph. The greedy's loops read it;
+        `experiment.cmd_alg1` calls `drop_rows` after a graph's runs, so a
+        caller that keeps the graph does not keep its rows."""
+        return self.adjacency.tolist()
+
+    def drop_rows(self) -> None:
+        """Free the cached `rows`, if built; the next access rebuilds them."""
+        self.__dict__.pop("rows", None)
 
     def degree_check(self) -> bool:
         """Every vertex fills exactly d slots of the table."""
@@ -166,23 +179,26 @@ def gen_regular(
 
 
 def ball_layers(g: RegularGraph, x0: int) -> list[np.ndarray]:
-    """BFS layers from x0: [ [x0], N(x0), ... ] until the graph is exhausted.
+    """BFS layers from x0: [ [x0], N(x0), ... ] until the component of x0
+    is exhausted; vertices outside that component are absent.
 
-    Vertices outside the component of x0 are absent.
+    Each layer is an int64 array in strictly ascending order, and no vertex
+    is in two layers. The greedy seeds its buckets in this order, so every
+    greedy result depends on it.
     """
     visited = np.zeros(g.n, dtype=bool)
+    fresh = np.zeros(g.n, dtype=bool)  # the next layer; cleared after each
     visited[x0] = True
-    frontier = np.array([x0], dtype=np.int64)
-    layers = [frontier]
-    while frontier.size:
-        cand = np.unique(g.adjacency[frontier].ravel())
-        nxt = cand[~visited[cand]]
+    layers = [np.array([x0], dtype=np.int64)]
+    while True:
+        cand = g.adjacency[layers[-1]].ravel()
+        fresh[cand[~visited[cand]]] = True
+        nxt = np.flatnonzero(fresh).astype(np.int64, copy=False)
         if nxt.size == 0:
-            break
+            return layers
+        fresh[nxt] = False
         visited[nxt] = True
-        frontier = nxt.astype(np.int64)
-        layers.append(frontier)
-    return layers
+        layers.append(nxt)
 
 
 def ball_sizes(g: RegularGraph, x0: int) -> np.ndarray:

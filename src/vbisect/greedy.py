@@ -5,7 +5,12 @@ exceed the target half, then backs off a configurable number of radii.
 Stage two repeatedly picks a red vertex with the fewest uncovered
 neighbors (at least one) and colors one of those neighbors, until the red
 set reaches the target size. A bucket queue keyed by uncovered-neighbor
-count keeps the whole run at O(d*n).
+count keeps the whole run at O(d*n). Bucket 0 is not kept: a red vertex
+with no uncovered neighbor is never drawn or moved again.
+
+A run costs its BFS ball and its phase-two loop. The loop reads the
+graph's cached `rows`, so the neighbor lists are built once per graph, not
+once per run; `RegularGraph.drop_rows` frees them once a graph's runs are done.
 """
 
 from __future__ import annotations
@@ -65,63 +70,67 @@ def run_alg1(
         np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction
     )
     r0 = max(r_crit - cfg.r0_offset, 0)  # at least x0 itself
-    color = bytearray(n)
-    size_red = 0
-    for layer in layers[: r0 + 1]:
-        for u in layer:
-            color[u] = 1
-        size_red += len(layer)
+    ball = np.concatenate(layers[: r0 + 1])
+    red = np.zeros(n, dtype=bool)
+    red[ball] = True
+    color = bytearray(red.tobytes())
+    size_red = seeded = len(ball)
 
-    adj = g.adjacency.tolist()
+    adj = g.rows
+    # choice(seq) draws what seq[randrange(len(seq))] would: on Python >= 3.10
+    # both take one _randbelow(len(seq)) from the stream
+    choice = rng.choice
 
-    # bucket queue over red vertices, keyed by uncovered neighbors
+    # bucket queue over red vertices, keyed by uncovered neighbors; a red
+    # vertex with none left is never drawn or moved again, so it is not kept
     cnt = [0] * n
     pos = [0] * n
     buckets: list[list[int]] = [[] for _ in range(d + 1)]
-    for layer in layers[: r0 + 1]:
-        for u in layer:
-            c = sum(1 for v in adj[u] if not color[v])
-            cnt[u] = c
+    uncovered = np.count_nonzero(~red[g.adjacency[ball]], axis=1)
+    for u, c in zip(ball.tolist(), uncovered.tolist()):
+        cnt[u] = c
+        if c:
             pos[u] = len(buckets[c])
             buckets[c].append(u)
+    drawn = buckets[1:]  # the same lists, lowest key first
 
-    def bucket_move(u: int, c_new: int) -> None:
-        b = buckets[cnt[u]]
-        i = pos[u]
-        last = b[-1]
-        b[i] = last
-        pos[last] = i
-        b.pop()
-        cnt[u] = c_new
-        pos[u] = len(buckets[c_new])
-        buckets[c_new].append(u)
-
-    steps = 0
     fallback = False
     while size_red < target:
-        j = 1
-        while j <= d and not buckets[j]:
-            j += 1
-        if j > d:
+        for bj in drawn:
+            if bj:
+                break
+        else:
             fallback = True
             break
-        bj = buckets[j]
-        v = bj[rng.randrange(len(bj))]
-        choices = [w for w in adj[v] if not color[w]]
-        w = choices[rng.randrange(len(choices))]
+        w = choice([w for w in adj[choice(bj)] if not color[w]])
 
         color[w] = 1
         size_red += 1
-        steps += 1
         c_w = 0
         for u in adj[w]:
             if color[u]:
-                bucket_move(u, cnt[u] - 1)
+                # u loses an uncovered neighbor: the last vertex of its
+                # bucket fills its slot, then u joins the bucket below
+                c = cnt[u]
+                b = buckets[c]
+                last = b.pop()
+                if last != u:
+                    b[pos[u]] = last
+                    pos[last] = pos[u]
+                c -= 1
+                cnt[u] = c
+                if c:
+                    b = buckets[c]
+                    pos[u] = len(b)
+                    b.append(u)
             else:
                 c_w += 1
-        cnt[w] = c_w
-        pos[w] = len(buckets[c_w])
-        buckets[c_w].append(w)
+        if c_w:
+            cnt[w] = c_w
+            b = buckets[c_w]
+            pos[w] = len(b)
+            b.append(w)
+    steps = size_red - seeded
 
     if fallback and size_red < target:
         uncolored = [u for u in range(n) if not color[u]]

@@ -143,6 +143,29 @@ def test_alg1_sweep_workers_match_serial():
     assert key(serial) == key(parallel)
 
 
+def test_alg1_sweep_keeps_one_graph_of_rows_at_a_time(monkeypatch):
+    # a caller that keeps every graph, as the benchmark's capture does, must
+    # not keep every graph's rows: cmd_alg1 drops them after the graph's runs
+    true_run = experiment.run_alg1
+    seen = []
+
+    def keep(g, *args, **kwargs):
+        out = true_run(g, *args, **kwargs)
+        seen.append((g, "rows" in vars(g)))
+        return out
+
+    monkeypatch.setattr(experiment, "run_alg1", keep)
+    cmd_alg1(3, n=200, runs=2, graphs=3, seed=4)
+    assert len(seen) == 6 and all(cached for _, cached in seen)
+    graphs = {id(g): g for g, _ in seen}.values()
+    assert len(graphs) == 3
+    for g in graphs:
+        assert "rows" not in vars(g)
+        rows = g.rows
+        assert rows == g.adjacency.tolist()
+        assert g.rows is rows
+
+
 def test_balls_rows_and_csv(tmp_path):
     rows = cmd_balls(3, [200, 400], seed=2, out=tmp_path)
     assert [n for n, *_ in rows] == [200, 400]

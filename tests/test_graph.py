@@ -150,6 +150,48 @@ def test_ball_stops_at_component_edge():
     assert ball_sizes(two_k4s(), 5).tolist() == [1, 4]
 
 
+def _set_bfs_layers(g: RegularGraph, x0: int) -> list[list[int]]:
+    """Reference BFS on Python sets: each layer sorted."""
+    rows = g.adjacency.tolist()
+    seen, layers = {x0}, [[x0]]
+    while True:
+        nxt = sorted({v for u in layers[-1] for v in rows[u]} - seen)
+        if not nxt:
+            return layers
+        seen.update(nxt)
+        layers.append(nxt)
+
+
+def _check_ball_layers(g: RegularGraph, x0: int) -> None:
+    layers = ball_layers(g, x0)
+    assert [layer.tolist() for layer in layers] == _set_bfs_layers(g, x0)
+    for layer in layers:
+        assert layer.dtype == np.int64
+        assert np.all(np.diff(layer) > 0)  # strictly ascending
+    flat = np.concatenate(layers)
+    assert np.unique(flat).size == flat.size  # the layers are disjoint
+
+
+@settings(max_examples=30, deadline=None)
+@given(d=st.sampled_from([3, 10]), half_n=st.integers(6, 150),
+       seed=st.integers(0, 10**6), x0_share=st.floats(0.0, 1.0, exclude_max=True))
+def test_ball_layers_match_a_set_bfs(d, half_n, seed, x0_share):
+    n = 2 * half_n
+    _check_ball_layers(gen_regular(n, d, seed=seed), int(x0_share * n))
+
+
+def test_ball_layers_on_a_multigraph_and_two_components():
+    g = gen_regular(10, 4, seed=0, simple=False)
+    rows = g.adjacency.tolist()
+    assert any(u in row for u, row in enumerate(rows))  # a loop
+    assert any(len(set(row)) < len(row) for u, row in enumerate(rows)
+               if u not in row)  # a parallel edge
+    for x0 in range(g.n):
+        _check_ball_layers(g, x0)
+    for x0 in range(8):
+        _check_ball_layers(two_k4s(), x0)
+
+
 # -- sampling ---------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
 """Greedy partitioner behavior on graphs small enough to check by hand."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -134,3 +136,28 @@ def test_offset_one_uses_larger_seed_ball():
     assert t1.r_crit == t2.r_crit
     # same critical radius, one fewer step of back-off for offset 1
     assert t1.phase2_steps <= t2.phase2_steps
+
+
+# (x0, width, phase2_steps, sha256 prefix of the mask's bytes) per degree,
+# for run seeds and back-offs (0, 2), (1, 2), (2, 1) on gen_regular(2000, d,
+# seed=21). Every step of a run, BFS layer order and bucket order included,
+# feeds these, so a change to either loop must reproduce them exactly.
+GOLDEN_RUNS = {
+    3: [(1729, 315, 635, "4adaf6171217"), (275, 330, 638, "ffb3c74cd234"),
+        (1957, 318, 309, "08753ad06ebc")],
+    4: [(1729, 472, 848, "49a735473073"), (275, 459, 841, "d6cb8395492b"),
+        (1957, 472, 555, "5c5b77fbd478")],
+    10: [(1729, 777, 902, "5d5d786c0dff"), (275, 782, 900, "ddf27907c0c3"),
+         (1957, 814, 245, "03390e535cc5")],
+}
+
+
+@pytest.mark.parametrize("d", sorted(GOLDEN_RUNS))
+def test_runs_reproduce_the_golden_outputs(d):
+    g = gen_regular(2000, d, seed=21)
+    got = []
+    for seed, offset in ((0, 2), (1, 2), (2, 1)):
+        bis, trace = run_alg1(g, GreedyConfig(seed=seed, r0_offset=offset))
+        digest = hashlib.sha256(bis.red.tobytes()).hexdigest()[:12]
+        got.append((trace.x0, bis.width, trace.phase2_steps, digest))
+    assert got == GOLDEN_RUNS[d]

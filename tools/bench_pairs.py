@@ -1,0 +1,167 @@
+#!/usr/bin/env python3
+"""Paired benchmark of a change against a parent revision.
+
+    python3 tools/bench_pairs.py --parent REV --tag N [--note TEXT]
+
+The parent is extracted with `git archive REV | tar -x` into a temporary
+directory; the change is this working tree. First the tier-1 tests run once
+per side, for their wall time, pass and fail counts and slowest phases.
+Then, for each workload of BENCHMARK.json, pair k = 1..PAIRS runs
+`perfbench/run.py --workload W --trace 0 --seconds <run_seconds> --seed k`
+once on each side, one process at a time, the parent first in odd pairs and
+the change first in even ones. BENCH_<N>.json at the repository root gets,
+per side, the medians and quartiles of every end-to-end metric and the
+operation counts; per metric, `change_wins` counts the pairs in which the
+change reads better. Each --note is copied into its "notes" list. The file
+is rewritten after every pair, so a cut run keeps what it measured.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import re
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10  # alternating pairs per workload, seeds 1..PAIRS
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+         "-p", "no:cacheprovider", "--durations=3"]
+
+
+def extract(rev: str, dest: Path) -> None:
+    archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
+                             capture_output=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+        cwd=side, capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def tier1(side: Path) -> dict:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    t0 = time.perf_counter()
+    proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    out = proc.stdout
+
+    def count(word):
+        found = re.findall(rf"(\d+) {word}", out.strip().splitlines()[-1])
+        return int(found[0]) if found else 0
+
+    slowest = [[float(s), phase, test] for s, phase, test in
+               re.findall(r"^(\d+\.\d+)s (setup|call|teardown)\s+(\S+)", out, re.M)]
+    return {"wall_s": round(wall, 1), "passed": count("passed"),
+            "failed": count("failed"), "slowest": slowest}
+
+
+def quartiles(values: list[float]) -> dict:
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def summarize(runs: list[dict], spec: dict) -> dict:
+    return {
+        "attempted": sum(r["attempted"] for r in runs),
+        "failed": sum(r["failed"] for r in runs),
+        "correct": all(r["correct"] for r in runs),
+        "metrics": {
+            m["name"]: {**quartiles([r["metrics"][m["name"]]["value"] for r in runs]),
+                        "unit": m["unit"]}
+            for m in spec["end_to_end"]
+        },
+    }
+
+
+def wins(parent: list[dict], change: list[dict], spec: dict) -> dict:
+    out = {}
+    for m in spec["end_to_end"]:
+        sign = 1 if m["better"] == "lower" else -1
+        out[m["name"]] = sum(
+            sign * c["metrics"][m["name"]]["value"] < sign * p["metrics"][m["name"]]["value"]
+            for p, c in zip(parent, change))
+    return out
+
+
+def machine() -> dict:
+    import numpy
+
+    cpu = platform.processor()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next(line.split(":", 1)[1].strip() for line in fh
+                       if line.startswith("model name"))
+    except (OSError, StopIteration):
+        pass
+    return {"cpus": os.cpu_count(), "cpu": cpu,
+            "python": platform.python_version(), "numpy": numpy.__version__}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="git revision to compare against")
+    ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
+    ap.add_argument("--note", action="append", default=[],
+                    help="a line for the output's notes; may be repeated")
+    args = ap.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    path = ROOT / f"BENCH_{args.tag}.json"
+    report = {
+        "what": (f"Medians and quartiles of perfbench/run.py --trace 0 --seconds "
+                 f"{seconds:g} end-to-end metrics, parent {args.parent} vs this "
+                 "change, alternating which side runs first in each pair; pair k "
+                 "uses --seed k. change_wins counts pairs where the change reads "
+                 "better. tier1 is the ROADMAP tier-1 command, each run alone."),
+        "notes": args.note,
+        "machine": machine(),
+        "workloads": {},
+    }
+
+    def save():
+        path.write_text(json.dumps(report, indent=1) + "\n")
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent = Path(tmp)
+        extract(args.parent, parent)
+        sides = {"parent": parent, "change": ROOT}
+        report["tier1"] = {name: tier1(root) for name, root in sides.items()}
+        save()
+        for workload in (w["name"] for w in spec["workloads"]):
+            runs = {"parent": [], "change": []}
+            for k in range(1, PAIRS + 1):
+                order = ("parent", "change") if k % 2 else ("change", "parent")
+                for name in order:
+                    runs[name].append(bench(sides[name], workload, k, seconds))
+                report["workloads"][workload] = {
+                    "pairs": k,
+                    "seeds": list(range(1, k + 1)),
+                    **{name: summarize(runs[name], spec) for name in sides},
+                    "change_wins": wins(runs["parent"], runs["change"], spec),
+                }
+                save()
+                print(f"{workload} pair {k}: " + json.dumps(
+                    {name: runs[name][-1]["metrics"]["solve_s"]["value"] for name in sides}),
+                    flush=True)
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
