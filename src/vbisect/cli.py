@@ -32,7 +32,8 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "stop_fraction": dict(type=float, default=0.5,
                               help="target red fraction of n"),
         "out": dict(type=str, default=None, help="output directory"),
-        "workers": dict(type=int, default=1, help="process pool size"),
+        "workers": dict(type=int, default=1,
+                        help="worker processes (graphs run in parallel)"),
         "strategy": dict(type=str, default="rematch",
                          choices=("rematch", "restart"),
                          help="simple-graph sampling strategy: restart is"

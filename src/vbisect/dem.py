@@ -38,6 +38,7 @@ from .integrate import Event, IntResult, solve_adaptive, solve_fixed
 DELTA_STOP = 1e-9  # point-count guard, in fractions of n
 EPS_NEG = 1e-12  # negativity tolerance
 CLAMP_TOL = 1e-9  # the most a promotion may change the total mass by
+STOP_TOL = 1e-13  # stop_u: closed form and promoted state differ by under 1e-15
 EPS_DEFAULT = 1e-5
 EPS_DEFAULT_D9 = 1e-4  # lands d = 9 near the table (0.88633 vs 0.88097);
 #                       1e-5 also runs without flags, at 0.90858
@@ -263,10 +264,17 @@ class ExactRound:
         only whites a round starts with. It rises with u up to u = 1/2,
         where it is at least 1 - 2^-d if every hit white is promoted and at
         its maximum otherwise, so with frac <= 1/2 bisection on
-        [0, min(u_end, 1/2)] finds the first crossing.
+        [0, min(u_end, 1/2)] finds the first crossing. A halving takes its
+        side from that closed form unless it is within STOP_TOL of frac,
+        where the promoted state decides, so the float found is the same.
         """
+        d, z0, zd = self.s0.d, float(self.s0.z[0]), float(self.s0.z[-1])
+        stays = 0.0 if promote_fully_paired else 1.0
 
         def short(u: float) -> bool:
+            gap = self.s0.mass - zd * (1.0 - u) ** d - stays * (z0 + zd * u**d) - frac
+            if abs(gap) > STOP_TOL:
+                return gap < 0.0
             return rollover(self.state(u), promote_fully_paired).red_mass < frac
 
         lo, hi = 0.0, min(self.u_end, 0.5)
@@ -360,7 +368,6 @@ def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
 
 READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
-READOUT_LEG_POINTS = 256  # path samples per fixed-grid leg
 
 
 @dataclass
@@ -504,24 +511,23 @@ def integrate_phase(
     mode: str = "adaptive",
     h_fixed: float | None = None,
     t_max: float = MAX_LEG_TIME,
-    keep_every: int = 0,
 ) -> tuple[DemState, str | None, IntResult]:
     """One integration leg of the vector [r, z] from s0 to its earliest
     event; `run_dem` integrates stage two only (see `ExactRound`).
 
-    Returns (end state, fired event name or None, raw solver result). The
-    caller supplies the events."""
+    Returns (end state, fired event name or None, raw solver result); the
+    result's path holds every accepted step. The caller supplies the events."""
     if not events:
         raise ValueError("events must be nonempty")
     y0 = s0.vector
     if mode == "adaptive":
         res = solve_adaptive(
-            rhs, 0.0, y0, t_max, events, rtol=RTOL, atol=ATOL, keep_every=keep_every
+            rhs, 0.0, y0, t_max, events, rtol=RTOL, atol=ATOL, keep_every=1
         )
     elif mode == "fixed":
         if h_fixed is None:
             raise ValueError("fixed mode needs h_fixed")
-        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events, keep_every=keep_every)
+        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events, keep_every=1)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not np.all(np.isfinite(res.y)):
@@ -577,10 +583,6 @@ def run_dem(
     if eps is None:
         eps = EPS_DEFAULT_D9 if d == 9 else EPS_DEFAULT
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)
-    # stage-two path samples for the readout: every accepted step of the
-    # adaptive solver, about READOUT_LEG_POINTS on the fixed grid (128
-    # already move the readout by less than 1e-7)
-    sample = 1 if mode == "adaptive" else max(1, leg_steps // READOUT_LEG_POINTS)
 
     res = DemRunResult(
         d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
@@ -630,7 +632,6 @@ def run_dem(
             mode=mode,
             h_fixed=h_fixed,
             t_max=t_cap,
-            keep_every=sample,
         )
         res.n_steps, res.n_rejected = raw.n_steps, raw.n_rejected
         ts, ys = map(np.array, zip(*raw.path))

@@ -16,6 +16,7 @@ import json
 import statistics
 import time
 from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,16 @@ def replay_record(rec: RunRecord) -> float:
 # -- greedy sweeps ---------------------------------------------------------
 
 
+def _alg1_graph(config: RunRecord, base: int, runs: int, gi: int) -> list[RunRecord]:
+    """Graph gi of the alg1 sweep with base seed base, drawn from its seed
+    and run runs times with config's columns; its rows are dropped after."""
+    g = _graph(config.n, config.d, base, gi, config.strategy)
+    done = [run_record(replace(config, seed=f"{base}:{gi}:{ri}"), g)[0]
+            for ri in range(runs)]
+    g.drop_rows()
+    return done
+
+
 def cmd_alg1(
     d: int,
     n: int = 100_000,
@@ -222,40 +233,26 @@ def cmd_alg1(
     out=None,
 ):
     """graphs fresh graphs x runs greedy executions, in job order (graph,
-    then run); per-graph avg/max/min plus the grand mean. Run serially, a
-    graph's runs follow its draw, and its cached rows are dropped before
-    the next draw, so one graph's rows are alive at a time."""
-
-    def draw(gi):
-        g = _graph(n, d, seed, gi, strategy)
-        return g, [RunRecord("alg1", d, n, f"{seed}:{gi}:{ri}", r0_offset, 0.0,
-                             stop_fraction=stop_fraction, strategy=strategy)
-                   for ri in range(runs)]
-
-    if workers > 1 and graphs * runs > 1:
-        jobs = [(rec, g) for g, recs in map(draw, range(graphs)) for rec in recs]
+    then run); per-graph avg/max/min plus the grand mean. A job is one
+    graph (`_alg1_graph`), so a process holds one graph's rows at a time.
+    workers > 1 runs the jobs in a process pool, in parallel across graphs,
+    and only scalars reach a worker; the records are the same either way."""
+    job = partial(_alg1_graph, RunRecord("alg1", d, n, "", r0_offset, 0.0,
+                                         stop_fraction=stop_fraction,
+                                         strategy=strategy), seed, runs)
+    if workers > 1 and graphs > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(run_record, *zip(*jobs)))
+            by_graph = list(pool.map(job, range(graphs)))
     else:
-        done = []
-        for gi in range(graphs):
-            g, recs = draw(gi)
-            done += [run_record(rec, g) for rec in recs]
-            g.drop_rows()
-    records = [rec for rec, _ in done]
+        by_graph = list(map(job, range(graphs)))
+    records = [rec for recs in by_graph for rec in recs]
 
     per_graph = []
-    for gi in range(graphs):
-        alphas = [r.alpha for r in records if r.seed.split(":")[1] == str(gi)]
+    for gi, recs in enumerate(by_graph):
+        alphas = [r.alpha for r in recs]
         if alphas:
-            per_graph.append(
-                {
-                    "graph": gi,
-                    "avg": statistics.fmean(alphas),
-                    "max": max(alphas),
-                    "min": min(alphas),
-                }
-            )
+            per_graph.append({"graph": gi, "avg": statistics.fmean(alphas),
+                              "max": max(alphas), "min": min(alphas)})
     all_alphas = [r.alpha for r in records]
     summary = {
         "per_graph": per_graph,

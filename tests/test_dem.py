@@ -184,6 +184,38 @@ def test_stop_is_the_first_crossing_of_the_target(promote_fully_paired):
     assert rnd.stop_u(1.0, promote_fully_paired) is None
 
 
+def _stop_u_on_the_state(rnd, frac, promote_fully_paired):
+    """Reference for `ExactRound.stop_u`: bisection that builds the
+    promoted state at every halving."""
+
+    def short(u):
+        return dem.rollover(rnd.state(u), promote_fully_paired).red_mass < frac
+
+    lo, hi = 0.0, min(rnd.u_end, 0.5)
+    if short(hi):
+        return None
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if short(mid) else (lo, mid)
+    return hi
+
+
+@pytest.mark.parametrize("promote_fully_paired", [True, False])
+@pytest.mark.parametrize("d", range(3, 11))
+def test_stop_u_matches_bisection_on_the_state(d, promote_fully_paired):
+    # every round of a run, including the one it stops in: the closed form
+    # only picks each halving's side, so the stop is the same float
+    for frac in (0.5, 0.05):
+        res = dem.run_dem(d, stop_fraction=frac,
+                          promote_fully_paired=promote_fully_paired)
+        starts = [dem.init_state(d, res.eps)] + res.post_roll_states[:-1]
+        for s0 in starts:
+            rnd = dem.ExactRound(s0)
+            assert rnd.stop_u(frac, promote_fully_paired) == _stop_u_on_the_state(
+                rnd, frac, promote_fully_paired
+            )
+
+
 @pytest.mark.parametrize("family", ["draw_low", "draw_any"])
 def test_stage_two_red_pool_drains_at_rate_two(family):
     s0 = dem.DemState(4, np.array([0.05, 0.1, 0.05, 0.02]),

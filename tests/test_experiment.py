@@ -1,7 +1,10 @@
 """Sweep drivers: persistence, seeding, replay, and report rendering."""
 
+import io
 import json
+import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -21,6 +24,7 @@ from vbisect.experiment import (
     replay_record,
     write_manifest,
 )
+from vbisect.graph import RegularGraph
 
 
 def _sample_records():
@@ -134,13 +138,58 @@ def test_alg1_records_keep_job_order():
 
 
 def test_alg1_sweep_workers_match_serial():
-    serial, _ = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1)
-    parallel, _ = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1, workers=2)
+    serial, serial_summary = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1)
+    parallel, parallel_summary = cmd_alg1(3, n=200, runs=2, graphs=2, seed=1,
+                                          workers=2)
 
     def key(recs):
         return [(r.seed, r.alpha, r.width, r.flags) for r in recs]
 
     assert key(serial) == key(parallel)
+    assert serial_summary == parallel_summary
+
+
+def test_alg1_pool_keeps_job_order():
+    # graph 10 comes after graph 9 from the pool too, in records and summary
+    serial, serial_summary = cmd_alg1(3, n=40, runs=1, graphs=11, seed=0)
+    records, summary = cmd_alg1(3, n=40, runs=1, graphs=11, seed=0, workers=2)
+    assert [r.seed for r in records] == [f"0:{gi}:0" for gi in range(11)]
+    assert [r.alpha for r in records] == [r.alpha for r in serial]
+    assert summary == serial_summary
+
+
+def test_alg1_pool_jobs_carry_no_graph(monkeypatch):
+    # workers draw their own graphs: neither a graph nor an adjacency array
+    # crosses to the pool
+    sent = []
+
+    class InProcessPool:
+        """Pickles what map receives, as a process pool would send it,
+        noting the type of every object in it, and runs it in-process."""
+
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            buf = io.BytesIO()
+            pickler = pickle.Pickler(buf)
+            pickler.persistent_id = lambda obj: sent.append(type(obj))
+            pickler.dump((fn, [list(it) for it in iterables]))
+            fn, args = pickle.loads(buf.getvalue())
+            return map(fn, *args)
+
+    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor",
+                        InProcessPool)
+    records, _ = cmd_alg1(3, n=200, runs=2, graphs=3, seed=2, workers=2)
+    serial, _ = cmd_alg1(3, n=200, runs=2, graphs=3, seed=2)
+    assert [(r.seed, r.alpha) for r in records] == [(r.seed, r.alpha) for r in serial]
+    assert sent and RegularGraph not in sent and np.ndarray not in sent
 
 
 def test_alg1_sweep_keeps_one_graph_of_rows_at_a_time(monkeypatch):
