@@ -99,8 +99,7 @@ class DemRunResult:
     alpha_upper: float
     round_end_states: list = field(default_factory=list)  # stage 1, pre-promotion
     post_roll_states: list = field(default_factory=list)  # the last seeds stage 2
-    stage2_states: list = field(default_factory=list)  # the stage-two leg's end, if run
-    final_state: DemState | None = None
+    final_state: DemState | None = None  # stage two's end, or its seed if not run
     flags: list = field(default_factory=list)
     n_steps: int = 0
     n_rejected: int = 0
@@ -122,7 +121,9 @@ def _leg_layout(d: int, kind: str):
     """(unpaired points, index of the state one point down, mask of the
     states that give first points) over [r_0..r_{d-1}, z_0..z_d] for a leg
     of kind "one" (a stage-one round), "two" (stage two) or "fallback"
-    (stage two drawn from every red class, which `run_dem` never runs).
+    (stage two drawn from every red class). No route runs "fallback":
+    stage two ends on balance in the fluid limit and in the simulation
+    alike, before the low classes run dry.
 
     The kinds differ as the simulation's `expose_step(low_max,
     color_on_hit)` calls do. A hit white z_j keeps its colour (to z_{j-1})
@@ -172,11 +173,11 @@ def rhs_phase2(d: int):
 
 
 def rhs_phase2_fallback(d: int):
-    """Stage-two derivative with first points from every red class 1..d-1,
-    as the simulation's fallback draws them from all red unpaired points
-    once the low classes are exhausted. `run_dem` never integrates it:
-    from a hand-off on target, stage two balances before the low classes
-    run dry (see `run_dem`)."""
+    """Stage-two derivative with first points from every red class 1..d-1.
+    No route runs it: from a hand-off on target, stage two balances before
+    the low classes run dry (see `run_dem`), and the simulation's stage two
+    ends on balance too. It stays for the conservation tests and for the
+    benchmark's tracer, which binds its name."""
     return _leg_rhs(d, "fallback")
 
 
@@ -521,13 +522,11 @@ def integrate_phase(
         raise ValueError("events must be nonempty")
     y0 = s0.vector
     if mode == "adaptive":
-        res = solve_adaptive(
-            rhs, 0.0, y0, t_max, events, rtol=RTOL, atol=ATOL, keep_every=1
-        )
+        res = solve_adaptive(rhs, 0.0, y0, t_max, events, rtol=RTOL, atol=ATOL)
     elif mode == "fixed":
         if h_fixed is None:
             raise ValueError("fixed mode needs h_fixed")
-        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events, keep_every=1)
+        res = solve_fixed(rhs, 0.0, y0, t_max, h_fixed, events)
     else:
         raise ValueError(f"unknown mode {mode!r}")
     if not np.all(np.isfinite(res.y)):
@@ -636,7 +635,6 @@ def run_dem(
         res.n_steps, res.n_rejected = raw.n_steps, raw.n_rejected
         ts, ys = map(np.array, zip(*raw.path))
         legs.append(Leg("two", float(ts[-1]), _path_interpolant(ts, ys)))
-        res.stage2_states.append(end)
         state = end
         if fired != "balance":
             res.flags += [f"stage2_{fired or raw.status}", "no_balance"]

@@ -179,7 +179,6 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
         alpha, trace3 = run_alg3(
             state,
             seed=_child_seed(base, 4, si),
-            stop_fraction=rec.stop_fraction,
             snapshot_every=snapshot_every,
         )
         width = round(alpha * rec.n * rec.stop_fraction)

@@ -156,19 +156,18 @@ def _locate(trial, t0: float, y0: np.ndarray, h: float, fired, g0):
     return t0 + hi, y_hi, crossed(hi, y_hi)[0]
 
 
-def _drive(stepper, t0, y0, t_end, h, events, max_steps, keep_every) -> IntResult:
+def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
     """Step from (t0, y0) with initial step h to t_end or the first event.
 
     max_steps caps attempted steps, rejected ones included. The last step
-    is shortened to land on t_end. keep_every > 0 records the start, every
-    that-many-th accepted state and the last one in result.path.
+    is shortened to land on t_end. result.path records the start and every
+    accepted state, the located event point last when one fires.
     """
     step, trial = stepper
     t = float(t0)
     y = np.asarray(y0, dtype=float).copy()
     res = IntResult(t=t, y=y, status="t_end")
-    if keep_every:
-        res.path.append((t, y.copy()))
+    res.path.append((t, y.copy()))
     if t_end <= t:
         return res
 
@@ -195,18 +194,14 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps, keep_every) -> IntResul
             res.t, res.y, ev = _locate(trial, t, y, h, fired, g)
             res.status, res.event = "event", ev.name
             res.n_steps += 1
-            if keep_every:
-                res.path.append((res.t, res.y.copy()))
+            res.path.append((res.t, res.y.copy()))
             return res
 
         t, y, g, h = t_new, y_new, g_new, h_next
         res.n_steps += 1
-        if keep_every and res.n_steps % keep_every == 0:
-            res.path.append((t, y.copy()))
+        res.path.append((t, y.copy()))
 
     res.t, res.y = t, y
-    if keep_every and (not res.path or res.path[-1][0] != t):
-        res.path.append((t, y.copy()))
     return res
 
 
@@ -220,12 +215,11 @@ def solve_adaptive(
     rtol: float = 1e-10,
     atol: float = 1e-12,
     max_steps: int = MAX_STEPS,
-    keep_every: int = 0,
 ) -> IntResult:
     """Integrate y' = f(t, y) with DP54, stopping at t_end or the first
-    event; see `_drive` for max_steps and keep_every."""
+    event; see `_drive` for max_steps and the recorded path."""
     stepper = _dp54(f, rtol, atol)
-    return _drive(stepper, t0, y0, t_end, 1e-6, events, max_steps, keep_every)
+    return _drive(stepper, t0, y0, t_end, 1e-6, events, max_steps)
 
 
 def solve_fixed(
@@ -237,9 +231,8 @@ def solve_fixed(
     events: Sequence[Event] = (),
     *,
     max_steps: int = MAX_STEPS,
-    keep_every: int = 0,
 ) -> IntResult:
     """As `solve_adaptive`, with classical RK4 at constant step h."""
     if h <= 0:
         raise ValueError("step must be positive")
-    return _drive(_rk4(f), t0, y0, t_end, h, events, max_steps, keep_every)
+    return _drive(_rk4(f), t0, y0, t_end, h, events, max_steps)

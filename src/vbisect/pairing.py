@@ -5,10 +5,14 @@ first point is drawn from the active red pool, a second uniformly from all
 remaining unpaired points, and the pair becomes an edge. Stage one grows
 the red set in rounds (drain the red unpaired points, then promote the
 white vertices that were hit) and stops mid-round once the promotion
-would make stop_fraction of the vertices red; stage two rebalances while
-draining the low-degree red classes, builds the balanced partition and
-reads off its boundary. Both stages follow the process that `vbisect.dem`
-integrates, and the fluid limit reads off the same boundary.
+would make stop_fraction of the vertices red; stage two drains the
+low-degree red classes until the red set less class 1 balances, builds
+the balanced partition and reads off its boundary. Both stages follow the
+process that `vbisect.dem` integrates, stage two ends on balance in both,
+and the fluid limit reads off the same boundary. A start vertex whose
+component is smaller than the target leaves stage two nothing to expose:
+that run is flagged "red_exhausted" and its half is topped up with
+arbitrary vertices ("fill_arbitrary").
 
 Vertices are bucketed by (color, unpaired-point count). Sampling a uniform
 unpaired point over a vertex subset is class-weighted: pick a class with
@@ -43,7 +47,6 @@ class SimTrace:
     phase_ends: list = field(default_factory=list)  # step count at each round end
     round_end_fractions: list = field(default_factory=list)
     post_roll_fractions: list = field(default_factory=list)
-    alpha: float | None = None
     flags: list = field(default_factory=list)
 
     def snapshot(self, state: "PairingState", phase: int) -> None:
@@ -71,6 +74,7 @@ class PairingState:
     totals. partners is the exposed-edge log in per-vertex form (a
     self-loop appears twice in its own list). The invariant
     edge_count + (points_red + points_white)/2 == n*d/2 holds throughout.
+    stop_fraction is the target both stages stop on; run_alg2 sets it.
     """
 
     __slots__ = (
@@ -88,6 +92,7 @@ class PairingState:
         "edge_count",
         "steps",
         "phase_count",
+        "stop_fraction",
         "_red",
         "_white",
     )
@@ -108,6 +113,7 @@ class PairingState:
         self.edge_count = 0
         self.steps = 0
         self.phase_count = 0
+        self.stop_fraction = 0.5
         # (points per vertex, class list) for classes 1..d, in sampling order;
         # the class lists are only ever mutated in place, so these stay valid
         self._red = [(i, self.red_cls[i]) for i in range(1, d + 1)]
@@ -258,9 +264,9 @@ def run_alg2(
     would make red (every vertex but the untouched whites, less the fully
     paired whites when promote_fully_paired is False) to n * stop_fraction;
     that state is the last entry of trace.round_end_fractions, and
-    promoting it lands the red set on the target. stop_after_steps returns
-    mid-round after that many exposures (used to freeze states for drift
-    tests).
+    promoting it lands the red set on the target, which the state keeps
+    for `run_alg3`. stop_after_steps returns mid-round after that many
+    exposures (used to freeze states for drift tests).
     """
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even")
@@ -269,6 +275,7 @@ def run_alg2(
     check_stop_fraction(n, stop_fraction)
     rng = random.Random(seed)
     st = PairingState(n, d)
+    st.stop_fraction = stop_fraction
     trace = SimTrace(n=n, d=d)
 
     x0 = rng.randrange(n)
@@ -331,75 +338,62 @@ def run_alg3(
     state: PairingState,
     seed=None,
     *,
-    stop_fraction: float = 0.5,
     snapshot_every: int = 0,
 ) -> tuple[float, SimTrace]:
     """Second stage: drain the low red classes while the hit rule recolors
     white vertices, stop at balance, and price the bisection.
 
-    The loop runs while |red| - |class-1 red| is below the target; the
-    first point comes from red classes 1..ceil(d/2) (falling back to any
-    red unpaired point, flagged "l_exhausted", when those are empty), the
-    second from all unpaired points, and a white partner turns red on its
-    first hit. The class-1 red vertices are then moved to the complement
-    and replaced by at most as many of their non-red exposed neighbors.
-    A surplus instead removes uniformly chosen boundary vertices first
-    (flag "balance_trim"; see the module notes). The returned alpha counts
-    every vertex of the red half that has an unpaired point, an exposed
-    neighbor outside the half, or was force-added, divided by n/2. This is
-    the width whose fluid limit `dem.run_dem` reads off.
+    The loop runs while |red| - |class-1 red| is below the target,
+    n * state.stop_fraction; the first point comes from red classes
+    1..ceil(d/2), the second from all unpaired points, and a white partner
+    turns red on its first hit. It ends on balance, as the fluid limit's
+    stage two does: the red set starts on the target and never shrinks,
+    so while the loop runs class 1 is non-empty. Only a stage one that
+    ended short ("component_exhausted") has no red point left: the run is
+    flagged "red_exhausted" and the half is topped up with uniformly
+    chosen outside vertices, each counted as boundary ("fill_arbitrary").
+    The class-1 red vertices go to the complement; a surplus removes
+    uniformly chosen boundary vertices first (flag "balance_trim"). The
+    returned alpha counts every vertex of the half that has an unpaired
+    point, an exposed neighbor outside the half, or was force-added,
+    divided by the target. This is the width whose fluid limit
+    `dem.run_dem` reads off.
 
     Mutates state in place.
     """
-    check_stop_fraction(state.n, stop_fraction)
     st = state
     n, d = st.n, st.d
     m = (d + 1) // 2
     rng = random.Random(seed)
     trace = SimTrace(n=n, d=d)
     phase = st.phase_count
-    target = n * stop_fraction
+    target = n * st.stop_fraction
 
     if snapshot_every:
         trace.snapshot(st, phase)
     while st.size_red - len(st.red_cls[1]) < target:
         if st.expose_step(rng, low_max=m, color_on_hit=True) is None:
-            if st.expose_step(rng, color_on_hit=True) is None:
-                trace.flags.append("red_exhausted")
-                break
-            if "l_exhausted" not in trace.flags:
-                trace.flags.append("l_exhausted")
+            trace.flags.append("red_exhausted")
+            break
         if snapshot_every and st.steps % snapshot_every == 0:
             trace.snapshot(st, phase)
 
     # move the class-1 red vertices across and rebalance to exactly
-    # floor(n * stop_fraction)
-    half_count = int(n * stop_fraction)
-    moved_across = list(st.red_cls[1])
+    # floor(target)
+    half_count = int(target)
     in_half = bytearray(st.is_red)
-    for u in moved_across:
+    for u in st.red_cls[1]:
         in_half[u] = 0
-    size_half = st.size_red - len(moved_across)
+    size_half = st.size_red - len(st.red_cls[1])
     forced: set = set()
 
     if size_half < half_count:
-        need = half_count - size_half
-        cand = []
-        seen = bytearray(n)
-        for u in moved_across:
-            for p in st.partners[u]:
-                if not in_half[p] and not st.is_red[p] and not seen[p]:
-                    seen[p] = 1
-                    cand.append(p)
-        rng.shuffle(cand)
-        take = cand[:need]
-        if len(take) < need:
-            trace.flags.append("fill_arbitrary")
-            rest = [u for u in range(n) if not in_half[u] and not seen[u]]
-            take += rng.sample(rest, need - len(take))
-        for u in take:
+        # only after "red_exhausted", when class 1 is empty
+        trace.flags.append("fill_arbitrary")
+        rest = [u for u in range(n) if not in_half[u]]
+        forced = set(rng.sample(rest, half_count - size_half))
+        for u in forced:
             in_half[u] = 1
-            forced.add(u)
     elif size_half > half_count:
         trace.flags.append("balance_trim")
         surplus = size_half - half_count
@@ -419,8 +413,7 @@ def run_alg3(
         for u in drop:
             in_half[u] = 0
 
-    alpha = _final_alpha(st, in_half, forced, n * stop_fraction)
-    trace.alpha = alpha
+    alpha = _final_alpha(st, in_half, forced, target)
     if snapshot_every:
         trace.snapshot(st, phase)
     return alpha, trace

@@ -120,7 +120,7 @@ def test_criterion_6_conservation(dem_adaptive, dem_fixed, criterion_log):
         for end, rolled in zip(res.round_end_states, res.post_roll_states):
             chain += [end, rolled]
         chain.append(dem.phase2_init(res.handoff_state))
-        chain += res.stage2_states
+        chain.append(res.final_state)
         drift = sum(abs(s1.mass - s0.mass) for s0, s1 in zip(chain, chain[1:]))
         worst_drift = max(worst_drift, drift)
         if drift >= 1e-8:

@@ -359,7 +359,8 @@ def test_round_capped_stage_one_hands_nothing_to_stage_two(monkeypatch):
     monkeypatch.setattr(dem, "MAX_ROUNDS", 3)
     res = dem.run_dem(4)
     assert res.flags == ["round_cap", "no_balance"]
-    assert res.stage2_states == []
+    assert res.n_steps == 0
+    assert res.final_state is res.post_roll_states[-1]
 
 
 def test_stage_two_leg_ending_off_balance_is_flagged():
@@ -367,7 +368,7 @@ def test_stage_two_leg_ending_off_balance_is_flagged():
     # the half balances; the run stops there and says so
     res = dem.run_dem(8, 8e-5, 0.2, mode="fixed", steps=125_000)
     assert res.flags == ["stage2_negativity", "no_balance"]
-    assert len(res.stage2_states) == 1
+    assert res.n_steps > 0
 
 
 def test_handoff_precedes_the_crossing_promotion(dem_adaptive):
@@ -494,7 +495,7 @@ def test_readout_within_class_bounds(promote_fully_paired):
             promote_fully_paired=promote_fully_paired,
         )
         assert not [f for f in res.flags if f.startswith(("readout_", "no_balance"))]
-        assert len(res.stage2_states) == 1
+        assert res.n_steps > 0
         end = res.final_state
         lost = (d - 1) * end.r[1] + d * end.z[0]
         assert 1.0 - end.r[0] / sf - 1e-7 <= res.alpha_upper

@@ -31,7 +31,7 @@ def _sample_records():
     return [
         RunRecord("alg1", 4, 100, "0:1:2", 2, 0.0, 0.5, 25, 12.5, ""),
         RunRecord("sim", 4, 200, "7:0", 0, 0.0, 0.625, 62, 80.0,
-                  "l_exhausted;balance_trim"),
+                  "red_exhausted;fill_arbitrary"),
         RunRecord("dem", 5, 0, "", 0, 1e-5, 0.61680, 0, 950.0, "",
                   mode="adaptive", steps=10**6),
     ]

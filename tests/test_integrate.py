@@ -119,11 +119,11 @@ def test_max_steps_reported():
         assert res.n_steps + res.n_rejected == 10, solver
 
 
-def test_keep_every_records_path():
+def test_every_accepted_step_is_recorded():
     for solver in SOLVERS:
-        res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1.0, keep_every=1,
-                     h=0.3)
+        res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1.0, h=0.3)
         ts = [t for t, _ in res.path]
+        assert len(ts) == res.n_steps + 1, solver
         assert ts[0] == 0.0, solver
         assert ts[-1] == res.t == 1.0, solver
         assert all(a < b for a, b in zip(ts, ts[1:])), solver
@@ -131,13 +131,12 @@ def test_keep_every_records_path():
 
 def test_fixed_event_and_path():
     ev = Event(lambda t, y: y[0] - 0.5, direction=1, name="half")
-    res = solve_fixed(
-        lambda t, y: y * (1 - y), 0.0, np.array([0.2]), 5.0, 0.01, [ev], keep_every=10
-    )
+    res = solve_fixed(lambda t, y: y * (1 - y), 0.0, np.array([0.2]), 5.0, 0.01, [ev])
     assert res.status == "event"
     # logistic from 0.2 reaches 0.5 at t = ln 4
     assert abs(res.t - math.log(4)) < 1e-6
-    assert res.path
+    assert len(res.path) == res.n_steps + 1
+    assert res.path[-1][0] == res.t
 
 
 def test_rounding_remainder_of_the_span_counts_as_arrival():

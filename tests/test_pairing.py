@@ -155,17 +155,12 @@ def test_validation():
         run_alg2(100, 2, seed=0)
     with pytest.raises(ValueError):
         run_alg2(4, 4, seed=0)
-    state, _ = run_alg2(1000, 4, seed=0)
     for stop_fraction in (0.0, 0.7, -0.5):
         with pytest.raises(ValueError, match="stop_fraction"):
             run_alg2(1000, 4, seed=0, stop_fraction=stop_fraction)
-        with pytest.raises(ValueError, match="stop_fraction"):
-            run_alg3(state, seed=1, stop_fraction=stop_fraction)
     # a target half under one vertex
     with pytest.raises(ValueError, match="at least 1"):
         run_alg2(200, 4, seed=0, stop_fraction=0.004)
-    with pytest.raises(ValueError, match="at least 1"):
-        run_alg3(state, seed=1, stop_fraction=0.0009)
 
 
 def test_snapshot_rows_and_csv(tmp_path):
@@ -208,23 +203,27 @@ def test_balance_stage_after_growth():
     assert "red_exhausted" not in trace.flags
 
 
-def test_low_class_exhaustion_fallback():
-    # stopping stage one early leaves stage two a long way to go, which
-    # drains the low classes and forces the any-point fallback
+def test_short_component_fills_the_half_arbitrarily():
+    # the start vertex's component is smaller than the target, so stage two
+    # has no red point to expose and the half is topped up from outside it
+    st, trace2 = run_alg2(8, 3, seed=34)
+    assert trace2.flags == ["component_exhausted"]
+    steps0 = st.steps
+    alpha, trace3 = run_alg3(st, seed=35)
+    assert st.steps == steps0
+    assert trace3.flags == ["red_exhausted", "fill_arbitrary"]
+    assert alpha == 0.5
+
+
+def test_stage_two_stops_on_stage_one_target():
+    # stage two balances on the fraction stage one stopped on, not on 0.5
     st, _ = run_alg2(4000, 4, seed=0, stop_fraction=0.3)
     steps0 = st.steps
-    alpha, trace = run_alg3(st, seed=100, stop_fraction=0.5)
+    alpha, trace = run_alg3(st, seed=100)
     assert st.steps > steps0
-    assert "l_exhausted" in trace.flags
-    assert alpha == 0.5515
-
-
-def test_low_class_exhaustion_fallback_no_trim_variant():
-    st, _ = run_alg2(4000, 4, seed=2, stop_fraction=0.3)
-    alpha, trace = run_alg3(st, seed=102, stop_fraction=0.5)
-    assert "l_exhausted" in trace.flags
-    assert "balance_trim" not in trace.flags
-    assert alpha == 0.555
+    assert trace.flags == []
+    assert st.size_red - len(st.red_cls[1]) == 1200
+    assert alpha == 0.705
 
 
 def test_half_size_is_exact_after_balancing():
