@@ -15,16 +15,24 @@ that run is flagged "red_exhausted" and its half is topped up with
 arbitrary vertices ("fill_arbitrary").
 
 Vertices are bucketed by (color, unpaired-point count). Sampling a uniform
-unpaired point over a vertex subset is class-weighted: pick a class with
-probability proportional to count * size, then a uniform member, O(d) per
-draw. Every exposure is undoable, which the drift regression tests use to
-resample single steps from a frozen state.
+unpaired point over a vertex subset is class-weighted: one uniform integer
+below the subset's point total names a point, numbering the points class
+by class, O(d) per draw. One step, `PairingState.expose_step`, serves both
+stages: it draws the first point, then the second, each with the
+getrandbits loop `randrange` runs, and moves both vertices down a class
+in place. The exposed edges are one flat log, and the partition's
+boundary is read off it with numpy. A promotion moves each hit white
+class into its red class as one block. Every exposure is undoable, which
+the drift regression tests use to resample single steps from a frozen
+state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .graph import check_stop_fraction
 
@@ -70,11 +78,22 @@ class PairingState:
     """Partially exposed pairing of n vertices with d points each.
 
     red_cls[i] / white_cls[i] list the vertices of each color with exactly
-    i unpaired points; points_red / points_white are the matching point
-    totals. partners is the exposed-edge log in per-vertex form (a
-    self-loop appears twice in its own list). The invariant
+    i unpaired points, and pos[u] is u's index in its list; points_red /
+    points_white are the matching point totals. edges is the exposed-edge
+    log, one flat int list u0, v0, u1, v1, ... in exposure order (a
+    self-loop is u, u). The invariant
     edge_count + (points_red + points_white)/2 == n*d/2 holds throughout.
     stop_fraction is the target both stages stop on; run_alg2 sets it.
+
+    Each exposure draws its integers with a getrandbits rejection loop,
+    the one `random.Random.randrange` runs, so a seed gives the stream
+    randrange would: first the first point (`expose_step`), then the
+    second. A draw t below a color's point total names the point t when
+    the points are numbered class 1..d, members in list order; the lookup
+    walks the classes from the top, where most of the points sit, and
+    meets the same point. A promotion (`rollover`) appends each hit white
+    class to the red class of the same index as one block, in list order,
+    where moving its members one at a time would put them.
     """
 
     __slots__ = (
@@ -88,13 +107,14 @@ class PairingState:
         "points_red",
         "points_white",
         "size_red",
-        "partners",
+        "edges",
         "edge_count",
         "steps",
         "phase_count",
         "stop_fraction",
         "_red",
         "_white",
+        "_low",
     )
 
     def __init__(self, n: int, d: int):
@@ -109,15 +129,17 @@ class PairingState:
         self.points_red = 0
         self.points_white = n * d
         self.size_red = 0
-        self.partners: list[list[int]] = [[] for _ in range(n)]
+        self.edges: list[int] = []
         self.edge_count = 0
         self.steps = 0
         self.phase_count = 0
         self.stop_fraction = 0.5
-        # (points per vertex, class list) for classes 1..d, in sampling order;
-        # the class lists are only ever mutated in place, so these stay valid
-        self._red = [(i, self.red_cls[i]) for i in range(1, d + 1)]
-        self._white = [(i, self.white_cls[i]) for i in range(1, d + 1)]
+        # (points per vertex, class list) for classes d..1, top first; the
+        # class lists are only ever mutated in place, so these stay valid.
+        # _low[m] is the red tail for classes m..1.
+        self._red = [(i, self.red_cls[i]) for i in range(d, 0, -1)]
+        self._white = [(i, self.white_cls[i]) for i in range(d, 0, -1)]
+        self._low = [self._red[d - m:] for m in range(d + 1)]
 
     # -- class bookkeeping -------------------------------------------------
 
@@ -146,40 +168,81 @@ class PairingState:
         else:
             self.points_white += new_free
 
-    @staticmethod
-    def _owner(t: int, classes) -> int:
-        """Vertex owning unpaired point t of classes, numbering the points
-        class by class; a uniform t gives a uniform point."""
-        for i, members in classes:
-            w = i * len(members)
-            if t < w:
-                return members[t // i]
-            t -= w
-        raise AssertionError("point totals out of sync")
-
     # -- exposure ----------------------------------------------------------
 
     def _expose_from(self, rng: random.Random, u: int, color_on_hit: bool):
         """Pair one point of u with a uniform unpaired point elsewhere.
 
         The partner keeps its color unless color_on_hit is set and it was
-        white. Returns an undo record for undo_step.
+        white. Returns the undo record ((u, red, free), (v, red, free)) for
+        undo_step. Both class moves are `_move`'s swap-remove and append,
+        written out.
         """
-        undo = [(u, self.is_red[u], self.free[u])]
-        self._move(u, self.is_red[u], self.free[u] - 1)
-        t = rng.randrange(self.points_red + self.points_white)
-        if t < self.points_red:
-            v = self._owner(t, self._red)
+        free, is_red, pos = self.free, self.is_red, self.pos
+        u_red, u_free = is_red[u], free[u]
+        classes = self.red_cls if u_red else self.white_cls
+        lst = classes[u_free]
+        last = lst.pop()
+        if last != u:
+            i = pos[u]
+            lst[i] = last
+            pos[last] = i
+        dest = classes[u_free - 1]
+        pos[u] = len(dest)
+        dest.append(u)
+        free[u] = u_free - 1
+        points_red, points_white = self.points_red, self.points_white
+        if u_red:
+            points_red -= 1
         else:
-            v = self._owner(t - self.points_red, self._white)
-        v_red = self.is_red[v]
-        undo.append((v, v_red, self.free[v]))
-        self._move(v, 1 if (v_red or color_on_hit) else 0, self.free[v] - 1)
-        self.partners[u].append(v)
-        self.partners[v].append(u)
+            points_white -= 1
+
+        total = points_red + points_white
+        getrandbits = rng.getrandbits
+        k = total.bit_length()
+        t = getrandbits(k)
+        while t >= total:
+            t = getrandbits(k)
+        if t < points_red:
+            end, side = points_red, self._red
+        else:
+            end, side = total, self._white
+        for i, members in side:
+            end -= i * len(members)
+            if t >= end:
+                v = members[(t - end) // i]
+                break
+        else:
+            raise AssertionError("point totals out of sync")
+
+        v_red, v_free = is_red[v], free[v]
+        classes = self.red_cls if v_red else self.white_cls
+        lst = classes[v_free]
+        last = lst.pop()
+        if last != v:
+            i = pos[v]
+            lst[i] = last
+            pos[last] = i
+        if v_red:
+            points_red -= 1
+        elif color_on_hit:
+            classes = self.red_cls
+            is_red[v] = 1
+            points_white -= v_free
+            points_red += v_free - 1
+            self.size_red += 1
+        else:
+            points_white -= 1
+        dest = classes[v_free - 1]
+        pos[v] = len(dest)
+        dest.append(v)
+        free[v] = v_free - 1
+        self.points_red, self.points_white = points_red, points_white
+
+        self.edges += (u, v)
         self.edge_count += 1
         self.steps += 1
-        return undo
+        return (u, u_red, u_free), (v, v_red, v_free)
 
     def expose_step(self, rng: random.Random, *, low_max: int | None = None,
                     color_on_hit: bool = False):
@@ -187,36 +250,54 @@ class PairingState:
         or only 1..low_max), second from everything unpaired. Returns None,
         exposing nothing, when those red classes have no unpaired point."""
         if low_max is None:
-            classes, total = self._red, self.points_red
+            end, classes = self.points_red, self._red
         else:
-            classes = self._red[:low_max]
-            total = sum(i * len(members) for i, members in classes)
-        if total == 0:
+            classes = self._low[low_max]
+            end = sum(i * len(members) for i, members in classes)
+        if end == 0:
             return None
-        u = self._owner(rng.randrange(total), classes)
-        return self._expose_from(rng, u, color_on_hit)
+        getrandbits = rng.getrandbits
+        k = end.bit_length()
+        t = getrandbits(k)
+        while t >= end:
+            t = getrandbits(k)
+        for i, members in classes:
+            end -= i * len(members)
+            if t >= end:
+                return self._expose_from(
+                    rng, members[(t - end) // i], color_on_hit
+                )
+        raise AssertionError("point totals out of sync")
 
     def undo_step(self, undo) -> None:
         (u, u_red, u_free), (v, v_red, v_free) = undo
         self._move(v, v_red, v_free)
         self._move(u, u_red, u_free)
-        self.partners[v].pop()
-        self.partners[u].pop()
+        del self.edges[-2:]
         self.edge_count -= 1
         self.steps -= 1
 
     def rollover(self, promote_fully_paired: bool = True) -> int:
         """Recolor the white vertices hit so far (classes below d) red.
 
+        Each white class i joins red class i in one block, in list order,
+        which is where one-by-one moves would put its members.
         promote_fully_paired=False leaves the fully paired white vertices
         white, matching the narrower reading of the promotion step.
         Returns the number of vertices recolored."""
-        start = 0 if promote_fully_paired else 1
+        pos, is_red = self.pos, self.is_red
         moved = 0
-        for i in range(start, self.d):
-            for u in list(self.white_cls[i]):
-                self._move(u, 1, i)
-                moved += 1
+        for i in range(0 if promote_fully_paired else 1, self.d):
+            whites, reds = self.white_cls[i], self.red_cls[i]
+            for j, u in enumerate(whites, len(reds)):
+                pos[u] = j
+                is_red[u] = 1
+            reds.extend(whites)
+            self.points_white -= i * len(whites)
+            self.points_red += i * len(whites)
+            moved += len(whites)
+            whites.clear()
+        self.size_red += moved
         return moved
 
     def class_fractions(self):
@@ -238,11 +319,17 @@ class PairingState:
         assert self.edge_count * 2 + self.points_red + self.points_white == (
             self.n * self.d
         )
+        pos = self.pos
         for i in range(self.d + 1):
-            for u in self.red_cls[i]:
-                assert self.is_red[u] and self.free[u] == i
-            for u in self.white_cls[i]:
-                assert not self.is_red[u] and self.free[u] == i
+            for j, u in enumerate(self.red_cls[i]):
+                assert self.is_red[u] and self.free[u] == i and pos[u] == j
+            for j, u in enumerate(self.white_cls[i]):
+                assert not self.is_red[u] and self.free[u] == i and pos[u] == j
+        assert len(self.edges) == 2 * self.edge_count
+        degree = np.bincount(
+            np.asarray(self.edges, dtype=np.int64), minlength=self.n
+        )
+        assert np.array_equal(degree, self.d - np.asarray(self.free))
 
 
 def run_alg2(
@@ -284,17 +371,16 @@ def run_alg2(
     st._move(x0, 1, 0)
 
     target = n * stop_fraction
-    untouched, paired_whites = st.white_cls[d], st.white_cls[0]
-
-    def promotable() -> int:
-        kept = 0 if promote_fully_paired else len(paired_whites)
-        return n - len(untouched) - kept
+    # the promotion would make every vertex red but the untouched whites and
+    # the kept ones: the fully paired whites when those stay white
+    untouched = st.white_cls[d]
+    kept = [] if promote_fully_paired else st.white_cls[0]
 
     phase = 0
     if snapshot_every:
         trace.snapshot(st, phase)
     while True:
-        while st.points_red > 0 and promotable() < target:
+        while st.points_red > 0 and n - len(untouched) - len(kept) < target:
             st.expose_step(rng)
             if snapshot_every and st.steps % snapshot_every == 0:
                 trace.snapshot(st, phase)
@@ -319,19 +405,15 @@ def run_alg2(
     return st, trace
 
 
-def _final_alpha(st: PairingState, in_half: bytearray, forced, half_target: float):
-    boundary = 0
-    for u in range(st.n):
-        if not in_half[u]:
-            continue
-        if u in forced or st.free[u] > 0:
-            boundary += 1
-            continue
-        for p in st.partners[u]:
-            if not in_half[p]:
-                boundary += 1
-                break
-    return boundary / half_target
+def _boundary(st: PairingState, in_half: bytearray) -> np.ndarray:
+    """Mask of the vertices of the half (in_half[u] == 1) that have an
+    unpaired point or an exposed edge to a vertex outside the half."""
+    half = np.frombuffer(in_half, dtype=np.uint8).astype(bool)
+    pairs = np.asarray(st.edges, dtype=np.int64).reshape(-1, 2)
+    cross = pairs[half[pairs[:, 0]] != half[pairs[:, 1]]]
+    mask = np.asarray(st.free) > 0
+    mask[cross.ravel()] = True
+    return mask & half
 
 
 def run_alg3(
@@ -397,23 +479,22 @@ def run_alg3(
     elif size_half > half_count:
         trace.flags.append("balance_trim")
         surplus = size_half - half_count
-        half = [u for u in range(n) if in_half[u]]
-        exposed_boundary = [
-            u
-            for u in half
-            if st.free[u] > 0 or any(not in_half[p] for p in st.partners[u])
-        ]
+        exposed_boundary = np.flatnonzero(_boundary(st, in_half)).tolist()
         rng.shuffle(exposed_boundary)
         drop = exposed_boundary[:surplus]
         if len(drop) < surplus:
             drop_set = set(drop)
-            interior = [u for u in half if u not in drop_set]
+            interior = [
+                u for u in range(n) if in_half[u] and u not in drop_set
+            ]
             rng.shuffle(interior)
             drop += interior[: surplus - len(drop)]
         for u in drop:
             in_half[u] = 0
 
-    alpha = _final_alpha(st, in_half, forced, target)
+    boundary = _boundary(st, in_half)
+    boundary[list(forced)] = True
+    alpha = int(np.count_nonzero(boundary)) / target
     if snapshot_every:
         trace.snapshot(st, phase)
     return alpha, trace

@@ -2,13 +2,16 @@
 agreement of stage-one round profiles and of the built partition's width
 with the fluid limit."""
 
+import hashlib
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
 from vbisect import dem
-from vbisect.pairing import PairingState, run_alg2, run_alg3
+from vbisect.pairing import PairingState, _boundary, run_alg2, run_alg3
 
 
 def _signature(st: PairingState):
@@ -22,7 +25,7 @@ def _signature(st: PairingState):
         st.steps,
         [sorted(c) for c in st.red_cls],
         [sorted(c) for c in st.white_cls],
-        [list(p) for p in st.partners],
+        list(st.edges),
     )
 
 
@@ -38,6 +41,55 @@ def _drained_half_red_state(n: int, d: int, rng_seed: int) -> PairingState:
         st._expose_from(rng, u, color_on_hit=False)
     st.check_invariants()
     return st
+
+
+# -- golden pin -------------------------------------------------------------
+
+# (n, d, seed_alg2, seed_alg3, promote_fully_paired, stop_fraction) ->
+# (alpha, steps, phase_count, flags of both stages, sha256 prefixes of
+# bytes(is_red) and of bytes(free)). Any change to the draw order, the
+# point numbering or the promotion order shows here. The last row is a
+# start vertex whose component is smaller than the target.
+GOLDEN = [
+    ((2000, 3, 1, 101, True, 0.5), (0.579, 1620, 9, [], '41b6554e9b84661c', 'd164d52cf9f4db06')),
+    ((2000, 3, 2, 102, True, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
+    ((2000, 3, 3, 103, True, 0.5), (0.585, 1627, 9, [], 'efc6f40f2975c407', '1b51a22d4fd478eb')),
+    ((2000, 3, 1, 101, False, 0.5), (0.588, 1623, 9, ['balance_trim'], '1f99529f0af21301', 'f97c8b04af88c9e4')),
+    ((2000, 3, 2, 102, False, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
+    ((2000, 3, 3, 103, False, 0.5), (0.584, 1629, 9, ['balance_trim'], '89ee21e828ecdf6b', 'dee25a5789ae27d2')),
+    ((2000, 4, 1, 101, True, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
+    ((2000, 4, 2, 102, True, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
+    ((2000, 4, 3, 103, True, 0.5), (0.73, 1316, 6, [], '7fd937f2ebfdf009', '4e7b04bf8b9646b3')),
+    ((2000, 4, 1, 101, False, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
+    ((2000, 4, 2, 102, False, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
+    ((2000, 4, 3, 103, False, 0.5), (0.734, 1316, 6, ['balance_trim'], 'edceeadc440b33ed', 'a761a3985668f757')),
+    ((2000, 8, 1, 101, True, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
+    ((2000, 8, 2, 102, True, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
+    ((2000, 8, 3, 103, True, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
+    ((2000, 8, 1, 101, False, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
+    ((2000, 8, 2, 102, False, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
+    ((2000, 8, 3, 103, False, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
+    ((2000, 4, 7, 107, True, 0.05), (0.85, 118, 4, [], '717d7639f9eb7a25', '84fcf2e2d3003bb0')),
+    ((8, 3, 34, 35, True, 0.5), (0.5, 3, 2, ['component_exhausted', 'red_exhausted', 'fill_arbitrary'], '9d834baed97defca', '91d6cb2f2c0d4374')),
+]
+
+
+def _digest(values) -> str:
+    return hashlib.sha256(bytes(values)).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("config, expected", GOLDEN)
+def test_golden_pin(config, expected):
+    n, d, seed2, seed3, promote_fully_paired, stop_fraction = config
+    st, trace2 = run_alg2(
+        n, d, seed=seed2, promote_fully_paired=promote_fully_paired,
+        stop_fraction=stop_fraction,
+    )
+    alpha, trace3 = run_alg3(st, seed=seed3)
+    st.check_invariants()
+    got = (alpha, st.steps, st.phase_count, trace2.flags + trace3.flags,
+           _digest(st.is_red), _digest(st.free))
+    assert got == expected
 
 
 # -- state mechanics --------------------------------------------------------
@@ -108,6 +160,150 @@ def test_class_fractions_sum_to_one():
     st, _ = run_alg2(500, 4, seed=6, stop_after_steps=400)
     r, z = st.class_fractions()
     assert sum(r) + sum(z) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_rollover_keeps_one_by_one_member_order():
+    """The bulk promotion leaves every class list as moving the hit whites
+    over one at a time, in list order, would."""
+    for promote_fully_paired in (True, False):
+        st, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
+        ref, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
+        moved = st.rollover(promote_fully_paired)
+        ref_moved = 0
+        for i in range(0 if promote_fully_paired else 1, ref.d):
+            for u in list(ref.white_cls[i]):
+                ref._move(u, 1, i)
+                ref_moved += 1
+        assert moved == ref_moved
+        assert _signature(st) == _signature(ref)
+        assert st.red_cls == ref.red_cls and st.pos == ref.pos
+        st.check_invariants()
+
+
+def _wrong_pos(st):
+    st.pos[st.white_cls[st.d][0]] = 1
+
+
+def _moved_edge_end(st):
+    st.edges[0] = (st.edges[0] + 1) % st.n
+
+
+def _extra_edge_entries(st):
+    st.edges += st.edges[:2]
+
+
+@pytest.mark.parametrize(
+    "corrupt", [_wrong_pos, _moved_edge_end, _extra_edge_entries]
+)
+def test_check_invariants_catches_corruption(corrupt):
+    st, _ = run_alg2(600, 4, seed=2, stop_after_steps=300)
+    st.check_invariants()
+    corrupt(st)
+    with pytest.raises(AssertionError):
+        st.check_invariants()
+
+
+# -- draws ------------------------------------------------------------------
+
+
+def _owner(t: int, classes) -> int:
+    """Vertex owning point t when the points of classes 1..d are numbered
+    class by class, members in list order."""
+    for i, members in enumerate(classes):
+        if t < i * len(members):
+            return members[t // i]
+        t -= i * len(members)
+    raise AssertionError("t beyond the point total")
+
+
+@pytest.mark.parametrize(
+    "k",
+    [1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 63, 64, 65, 255, 256, 257],
+)
+def test_step_draws_match_randrange(k):
+    """An exposure consumes the stream that randrange(k) for the first
+    point, then randrange(k) for the second, would, and pairs the points
+    those integers name. The state is hand-built so that both totals are
+    k: red points k, one white vertex with one point. Fails if the
+    interpreter's randrange changes."""
+    n, d = 40, 8
+    frees = [d] * (k // d) + ([k % d] if k % d else [])
+    for seed in range(20):
+        st = PairingState(n, d)
+        for u in range(n):
+            if u < len(frees):
+                st._move(u, 1, frees[u])
+            else:
+                st._move(u, 0, 1 if u == len(frees) else 0)
+        assert (st.points_red, st.points_white) == (k, 1)
+        ref = random.Random(seed)
+        u = _owner(ref.randrange(k), st.red_cls)
+        # u's move: swap-remove from its class, append to the one below
+        ref_red = [list(c) for c in st.red_cls]
+        members = ref_red[st.free[u]]
+        members[members.index(u)] = members[-1]
+        members.pop()
+        ref_red[st.free[u] - 1].append(u)
+        t = ref.randrange(k)
+        v = _owner(t, ref_red) if t < k - 1 else len(frees)
+
+        rng = random.Random(seed)
+        (got_u, _, _), (got_v, _, _) = st.expose_step(rng)
+        assert (got_u, got_v) == (u, v)
+        assert rng.getstate() == ref.getstate()
+
+
+# -- boundary readout -------------------------------------------------------
+
+
+def _oracle_boundary(st: PairingState, in_half, forced) -> list:
+    """The per-vertex readout the boundary mask replaced: partner lists
+    rebuilt from the edge log, then every vertex of the half that was
+    forced in, has an unpaired point or has a partner outside the half."""
+    partners = [[] for _ in range(st.n)]
+    for u, v in zip(st.edges[::2], st.edges[1::2]):
+        partners[u].append(v)
+        partners[v].append(u)
+    return [
+        u
+        for u in range(st.n)
+        if in_half[u]
+        and (
+            u in forced
+            or st.free[u] > 0
+            or any(not in_half[p] for p in partners[u])
+        )
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=hst.integers(3, 5),
+    half_n=hst.integers(2, 8),
+    seed=hst.integers(0, 10**6),
+    share=hst.floats(0.0, 1.0),
+)
+# n = 6, d = 3, seed 1: a self-loop (5, 5), the pair 2-3 twice, open points
+@example(d=3, half_n=1, seed=1, share=7 / 9)
+def test_boundary_mask_matches_per_vertex_readout(d, half_n, seed, share):
+    n = 2 * half_n + 2 * ((d + 1) // 2)  # n > d and n*d even
+    st = PairingState(n, d)
+    rng = random.Random(seed)
+    for _ in range(round(share * n * d / 2)):
+        open_points = [u for u in range(n) if st.free[u] > 0]
+        st._expose_from(rng, rng.choice(open_points), rng.random() < 0.5)
+    st.check_invariants()
+    in_half = bytearray(rng.getrandbits(1) for _ in range(n))
+    forced = {u for u in range(n) if in_half[u] and rng.random() < 0.2}
+
+    # the balance_trim candidates: the ascending list, nothing forced
+    mask = _boundary(st, in_half)
+    assert np.flatnonzero(mask).tolist() == _oracle_boundary(st, in_half, set())
+    # the count alpha is read from, with forced vertices
+    mask[list(forced)] = True
+    assert int(np.count_nonzero(mask)) == len(
+        _oracle_boundary(st, in_half, forced)
+    )
 
 
 # -- stage one --------------------------------------------------------------
@@ -188,11 +384,14 @@ def test_balance_stage_on_drained_state_counts_cross_edges():
     alpha, trace = run_alg3(st, seed=11)
     assert st.steps == steps_before  # nothing left to expose
     assert trace.flags == []
-    manual = sum(
-        1
-        for u in range(n)
-        if st.is_red[u] and any(not st.is_red[p] for p in st.partners[u])
-    ) / (n / 2)
+    edges = st.edges
+    cut = {
+        w
+        for a, b in zip(edges[::2], edges[1::2])
+        if st.is_red[a] != st.is_red[b]
+        for w in (a, b)
+    }
+    manual = sum(1 for u in cut if st.is_red[u]) / (n / 2)
     assert alpha == manual
 
 
