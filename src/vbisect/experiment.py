@@ -235,12 +235,16 @@ def cmd_alg1(
     then run); per-graph avg/max/min plus the grand mean. A job is one
     graph (`_alg1_graph`), so a process holds one graph's rows at a time.
     workers > 1 runs the jobs in a process pool, in parallel across graphs,
-    and only scalars reach a worker; the records are the same either way."""
+    and only scalars reach a worker; the records are the same either way.
+    The pool starts at most one process per graph."""
+    if workers < 1:
+        raise ValueError(f"workers must be at least 1, got {workers}")
     job = partial(_alg1_graph, RunRecord("alg1", d, n, "", r0_offset, 0.0,
                                          stop_fraction=stop_fraction,
                                          strategy=strategy), seed, runs)
     if workers > 1 and graphs > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=min(workers, graphs)) as pool:
             by_graph = list(pool.map(job, range(graphs)))
     else:
         by_graph = list(map(job, range(graphs)))

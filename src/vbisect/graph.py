@@ -76,13 +76,32 @@ def _fills(ends: np.ndarray, n: int, d: int) -> bool:
     return np.array_equal(np.bincount(ends, minlength=n), np.full(n, d))
 
 
+def _stable_order(keys: np.ndarray, bound: int) -> np.ndarray:
+    """np.argsort(keys, kind="stable") for integer keys in [0, bound).
+
+    A least-significant-digit radix order: one stable argsort of uint16
+    digits, which numpy radix-sorts, per 16 bits of bound, lowest first.
+    The cast to uint16 keeps a key's low 16 bits.
+    """
+    order = np.argsort(keys.astype(np.uint16), kind="stable")
+    shift = 16
+    while (bound - 1) >> shift:
+        digit = (keys >> shift).astype(np.uint16)[order]
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def _adjacency_from_pairs(n: int, d: int, pairs: np.ndarray) -> np.ndarray:
     """The (n, d) table of an (m, 2) pair array. Each row lists its
-    neighbors in pair order; a loop (u, u) fills two slots of row u."""
+    neighbors in pair order; a loop (u, u) fills two slots of row u.
+
+    The rows are the interleaved ends u0, v0, u1, v1, ... in stable
+    vertex order (`_stable_order`), each end replaced by its partner."""
     ends = pairs.ravel()  # u0, v0, u1, v1, ...
     if not _fills(ends, n, d):
         raise ValueError("pairs do not fill every vertex's d slots")
-    order = np.argsort(ends, kind="stable")
+    order = _stable_order(ends, n)
     other_end = pairs[:, ::-1].ravel()
     return other_end[order].reshape(n, d).astype(np.int32)
 
@@ -110,6 +129,10 @@ def _try_rematch(n: int, d: int, rng: np.random.Generator):
     repeat of an earlier pair of the same pass. Returns the kept pairs in
     the order they were kept, or None when the leftover stubs cannot form
     a new edge and the whole attempt must restart.
+
+    The first pair of each key min * n + max is found as np.unique's
+    return_index finds it: sort the keys stably (`_stable_order`, bound
+    n * n) and mark the first of each run of equal keys.
     """
     kept = []
     edges = np.empty(0, dtype=np.int64)  # sorted keys of the kept pairs
@@ -118,7 +141,13 @@ def _try_rematch(n: int, d: int, rng: np.random.Generator):
         rng.shuffle(stubs)
         pairs = np.sort(stubs.reshape(-1, 2), axis=1)
         # min * n + max: one key per unordered vertex pair
-        keys, first = np.unique(pairs[:, 0] * n + pairs[:, 1], return_index=True)
+        keys = pairs[:, 0] * n + pairs[:, 1]
+        order = _stable_order(keys, n * n)
+        keys = keys[order]
+        head = np.empty(keys.size, dtype=bool)
+        head[:1] = True
+        np.not_equal(keys[1:], keys[:-1], out=head[1:])
+        keys, first = keys[head], order[head]
         new = (pairs[first, 0] != pairs[first, 1]) & ~_contains(edges, keys)
         keep = np.zeros(len(pairs), dtype=bool)
         keep[first[new]] = True

@@ -11,6 +11,10 @@ with no uncovered neighbor is never drawn or moved again.
 A run costs its BFS ball and its phase-two loop. The loop reads the
 graph's cached `rows`, so the neighbor lists are built once per graph, not
 once per run; `RegularGraph.drop_rows` frees them once a graph's runs are done.
+Each phase-two step makes the two draws `random.Random.choice` would, the
+bucket vertex and then one of its uncovered neighbors, with the getrandbits
+rejection loop `choice` runs, written out in the loop: the neighbor is the
+r-th uncovered entry of its row, so no list of candidates is built.
 """
 
 from __future__ import annotations
@@ -77,9 +81,7 @@ def run_alg1(
     size_red = seeded = len(ball)
 
     adj = g.rows
-    # choice(seq) draws what seq[randrange(len(seq))] would: on Python >= 3.10
-    # both take one _randbelow(len(seq)) from the stream
-    choice = rng.choice
+    getrandbits = rng.getrandbits
 
     # bucket queue over red vertices, keyed by uncovered neighbors; a red
     # vertex with none left is never drawn or moved again, so it is not kept
@@ -102,7 +104,28 @@ def run_alg1(
         else:
             fallback = True
             break
-        w = choice([w for w in adj[choice(bj)] if not color[w]])
+        # rng.choice(bj), then rng.choice of u's uncovered neighbors, written
+        # out: choice(seq) is seq[r], r = getrandbits(m.bit_length()) until
+        # r < m = len(seq); u has cnt[u] of them, and the r-th in row order
+        # is drawn
+        m = len(bj)
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        u = bj[r]
+        m = cnt[u]
+        k = m.bit_length()
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        for w in adj[u]:
+            if not color[w]:
+                if not r:
+                    break
+                r -= 1
+        else:
+            raise AssertionError("uncovered-neighbor counts out of sync")
 
         color[w] = 1
         size_red += 1

@@ -36,7 +36,9 @@ def test_invalid_parameters_exit_two(capsys):
                  # n * stop_fraction under one vertex
                  simulate + ["--stop-fraction", "0.0005"],
                  ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "1",
-                  "--stop-fraction", "0.005"]):
+                  "--stop-fraction", "0.005"],
+                 ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "2",
+                  "--workers", "0"]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
 

@@ -192,6 +192,40 @@ def test_alg1_pool_jobs_carry_no_graph(monkeypatch):
     assert sent and RegularGraph not in sent and np.ndarray not in sent
 
 
+def test_alg1_pool_starts_no_idle_worker(monkeypatch):
+    # a fork-based pool forks all max_workers processes at once, so the
+    # pool asks for no more processes than there are graphs
+    asked = []
+
+    class SerialPool:
+        """Records max_workers and maps in-process; starts no process."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(experiment.concurrent.futures, "ProcessPoolExecutor",
+                        SerialPool)
+    serial, _ = cmd_alg1(3, n=40, runs=1, graphs=2, seed=3)
+    records, _ = cmd_alg1(3, n=40, runs=1, graphs=2, seed=3, workers=5)
+    assert asked == [2]
+    assert [r.alpha for r in records] == [r.alpha for r in serial]
+    cmd_alg1(3, n=40, runs=1, graphs=4, seed=3, workers=3)
+    assert asked == [2, 3]
+    for workers in (0, -1):
+        with pytest.raises(ValueError, match="workers"):
+            cmd_alg1(3, n=40, runs=1, graphs=2, seed=3, workers=workers)
+    assert asked == [2, 3]
+
+
 def test_alg1_sweep_keeps_one_graph_of_rows_at_a_time(monkeypatch):
     # a caller that keeps every graph, as the benchmark's capture does, must
     # not keep every graph's rows: cmd_alg1 drops them after the graph's runs

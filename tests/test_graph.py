@@ -17,6 +17,7 @@ from vbisect.graph import (
     _adjacency_from_pairs,
     _pairing_pass,
     _pairs_simple,
+    _stable_order,
     _try_rematch,
     ball_layers,
     ball_sizes,
@@ -263,6 +264,18 @@ def test_rows_list_neighbors_in_pair_order():
     assert adj.tolist() == [[1, 1, 2, 1], [0, 0, 2, 0], [2, 2, 0, 1]]
     with pytest.raises(ValueError, match="slots"):
         _adjacency_from_pairs(3, 4, pairs[:-1])
+
+
+@pytest.mark.parametrize("bound", [1, 2, 2**16 - 1, 2**16, 2**16 + 1, 2**32, 2**32 + 1,
+                                   100_000 * 100_000])
+def test_stable_order_is_the_stable_argsort(bound):
+    rng = np.random.default_rng(bound % 1000)
+    # few distinct keys, so most keys tie, spread over the whole range
+    # (both ends included) and so over every radix digit
+    pool = np.unique(np.concatenate([[0, bound - 1], rng.integers(0, bound, 40)]))
+    for size in (0, 1, 5000):
+        keys = rng.choice(pool, size).astype(np.int64)
+        assert np.array_equal(_stable_order(keys, bound), np.argsort(keys, kind="stable"))
 
 
 def _rematch_loop(n, d, rng):

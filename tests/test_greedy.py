@@ -1,12 +1,15 @@
 """Greedy partitioner behavior on graphs small enough to check by hand."""
 
 import hashlib
+import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from vbisect.graph import RegularGraph, brute_force_vbw, gen_regular
-from vbisect.greedy import GreedyConfig, alpha_of, run_alg1
+from vbisect.graph import RegularGraph, ball_layers, brute_force_vbw, critical_balls, gen_regular
+from vbisect.greedy import GreedyConfig, GreedyTrace, alpha_of, run_alg1
 
 from test_graph import complete_graph, two_k4s
 
@@ -65,6 +68,12 @@ def test_trace_ball_sizes_bracket_the_target():
     assert tr.b1 <= g.n / 2 < tr.b2
 
 
+def three_k4s() -> RegularGraph:
+    adj = np.array([[b + j for j in range(4) if j != i]
+                    for b in (0, 4, 8) for i in range(4)], dtype=np.int32)
+    return RegularGraph(12, 3, adj, True)
+
+
 def test_small_component_triggers_fallback():
     # K4 glued next to K3,3: any start inside the K4 runs out of room
     adj = np.zeros((10, 3), dtype=np.int32)
@@ -83,9 +92,7 @@ def test_small_component_triggers_fallback():
 def test_disconnected_graph_fallback_still_balances():
     # three K4s: x0's K4 is smaller than the half, so the fallback
     # colours the rest
-    adj = np.array([[b + j for j in range(4) if j != i]
-                    for b in (0, 4, 8) for i in range(4)], dtype=np.int32)
-    g = RegularGraph(12, 3, adj, True)
+    g = three_k4s()
     bis, trace = run_alg1(g, GreedyConfig(seed=0, x0=0))
     assert trace.exhaustion_fallback
     assert int(bis.red.sum()) == 6
@@ -161,3 +168,121 @@ def test_runs_reproduce_the_golden_outputs(d):
         digest = hashlib.sha256(bis.red.tobytes()).hexdigest()[:12]
         got.append((trace.x0, bis.width, trace.phase2_steps, digest))
     assert got == GOLDEN_RUNS[d]
+
+
+# A gen_regular graph past 2**16 vertices, so both sorts of the sampler
+# take two or more radix digits: sha256 prefixes of its adjacency and of
+# one greedy mask on it, with that run's trace.
+BIG_N = 70_000
+BIG_PIN = ("a27dc6d35a3a8c5c", "db0d0bb025eb6d84",
+           GreedyTrace(x0=27391, r_crit=14, b0=11394, b1=20956, b2=35759,
+                       phase2_steps=23606, exhaustion_fallback=False))
+
+
+def test_large_graph_and_run_reproduce_the_pin():
+    g = gen_regular(BIG_N, 3, seed=15)
+    bis, trace = run_alg1(g, GreedyConfig(seed=15))
+    got = (hashlib.sha256(g.adjacency.tobytes()).hexdigest()[:16],
+           hashlib.sha256(bis.red.tobytes()).hexdigest()[:16], trace)
+    assert got == BIG_PIN
+
+
+def _alg1_with_choice(g, cfg):
+    """Reference: run_alg1 with phase two drawing by rng.choice, the bucket
+    vertex first and then one of a list of its uncovered neighbors."""
+    n, d = g.n, g.d
+    rng = random.Random(cfg.seed)
+    x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)
+    target = int(n * cfg.stop_fraction)
+    layers = ball_layers(g, x0)
+    r_crit, b0, b1, b2 = critical_balls(
+        np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction)
+    ball = np.concatenate(layers[: max(r_crit - cfg.r0_offset, 0) + 1]).tolist()
+    adj = g.adjacency.tolist()
+    color = [0] * n
+    for u in ball:
+        color[u] = 1
+    cnt, pos = [0] * n, [0] * n
+    buckets = [[] for _ in range(d + 1)]
+
+    def push(u, c):
+        cnt[u] = c
+        if c:
+            pos[u] = len(buckets[c])
+            buckets[c].append(u)
+
+    for u in ball:
+        push(u, sum(not color[w] for w in adj[u]))
+    size_red = seeded = len(ball)
+    fallback = False
+    while size_red < target:
+        bj = next((b for b in buckets[1:] if b), None)
+        if bj is None:
+            fallback = True
+            break
+        w = rng.choice([w for w in adj[rng.choice(bj)] if not color[w]])
+        color[w] = 1
+        size_red += 1
+        for u in adj[w]:
+            if color[u]:
+                b = buckets[cnt[u]]
+                last = b.pop()
+                if last != u:
+                    b[pos[u]] = last
+                    pos[last] = pos[u]
+                push(u, cnt[u] - 1)
+        push(w, sum(not color[u] for u in adj[w]))
+    steps = size_red - seeded
+    if fallback and size_red < target:
+        for u in rng.sample([u for u in range(n) if not color[u]], target - size_red):
+            color[u] = 1
+    trace = GreedyTrace(x0, r_crit, b0, b1, b2, steps, fallback)
+    return np.array(color, dtype=bool), trace
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(3, 10), half_n=st.integers(3, 80), graph_seed=st.integers(0, 10**6),
+       seed=st.integers(0, 10**6), offset=st.sampled_from([1, 2]),
+       frac=st.floats(0.0, 1.0), x0_share=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+def test_phase_two_draws_what_choice_draws(d, half_n, graph_seed, seed, offset, frac, x0_share):
+    n = 2 * half_n + (d + 1) // 2 * 2  # n > d and n*d even
+    stop_fraction = 1 / n + frac * (0.5 - 1 / n)  # down to the one-vertex floor
+    assume(int(n * stop_fraction) >= 1)
+    x0 = None if x0_share is None else int(x0_share * n)
+    cfg = GreedyConfig(seed=seed, r0_offset=offset, stop_fraction=stop_fraction, x0=x0)
+    g = gen_regular(n, d, seed=graph_seed)
+    bis, trace = run_alg1(g, cfg)
+    mask, want = _alg1_with_choice(g, cfg)
+    assert trace == want
+    assert np.array_equal(bis.red, mask)
+
+
+def test_phase_two_draws_what_choice_draws_on_three_k4s():
+    g = three_k4s()
+    fallbacks = 0
+    for seed in range(12):
+        for x0 in (None, 0, 7):
+            for offset in (1, 2):
+                cfg = GreedyConfig(seed=seed, r0_offset=offset, x0=x0)
+                bis, trace = run_alg1(g, cfg)
+                mask, want = _alg1_with_choice(g, cfg)
+                assert trace == want
+                assert np.array_equal(bis.red, mask)
+                fallbacks += trace.exhaustion_fallback
+    assert fallbacks == 72
+
+
+def test_inlined_draw_is_the_draw_of_choice():
+    # the loop run_alg1's phase two writes out, against the stdlib's choice,
+    # for lengths 1, 2**k and 2**k +- 1; both must leave the same state
+    for m in sorted({2**k + e for k in range(21) for e in (-1, 0, 1)} - {0}):
+        seq = range(m)
+        for s in range(5):
+            rng, ref = random.Random(s), random.Random(s)
+            for _ in range(20):
+                k = m.bit_length()
+                r = rng.getrandbits(k)
+                while r >= m:
+                    r = rng.getrandbits(k)
+                assert seq[r] == ref.choice(seq), (m, s)
+            assert rng.getstate() == ref.getstate(), (m, s)

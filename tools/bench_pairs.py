@@ -3,8 +3,11 @@
 
     python3 tools/bench_pairs.py --parent REV --tag N [--note TEXT]
 
-The parent is extracted with `git archive REV | tar -x` into a temporary
-directory; the change is this working tree. First the tier-1 tests run once
+Both sides run from fresh extractions, `git archive REV | tar -x` into a
+temporary directory each, so neither starts with a warm `__pycache__`: the
+parent from REV, the change from `git stash create` (the working tree's
+tracked files; an untracked file must be added first), or from HEAD when
+no tracked file has changed. First the tier-1 tests run once
 per side, for their wall time, pass and fail counts and slowest phases.
 Then, for each workload of BENCHMARK.json, pair k = 1..PAIRS runs
 `perfbench/run.py --workload W --trace 0 --seconds <run_seconds> --seed k`
@@ -40,6 +43,13 @@ def extract(rev: str, dest: Path) -> None:
     archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                              capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+
+
+def snapshot() -> str:
+    """A commit of the working tree's tracked files, or HEAD if they are clean."""
+    rev = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
+                         capture_output=True, text=True).stdout.strip()
+    return rev or "HEAD"
 
 
 def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -137,10 +147,11 @@ def main(argv=None) -> int:
     def save():
         path.write_text(json.dumps(report, indent=1) + "\n")
 
-    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
-        parent = Path(tmp)
-        extract(args.parent, parent)
-        sides = {"parent": parent, "change": ROOT}
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
+        sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for side, rev in zip(sides.values(), (args.parent, snapshot())):
+            side.mkdir()
+            extract(rev, side)
         report["tier1"] = {name: tier1(root) for name, root in sides.items()}
         save()
         for workload in (w["name"] for w in spec["workloads"]):
