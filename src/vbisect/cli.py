@@ -72,8 +72,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("simulate", help="matching-exposure simulation sweep")
     _add(p, "d", "n", "runs", "seed", "stop_fraction", "snapshot_every", "out")
-    p.add_argument("--literal-promotion", action="store_true",
-                   help="promote only fully matched white vertices at rollover")
 
     p = sub.add_parser("dem", help="fluid-limit integration per degree")
     _add(p, "d_list", "eps", "steps", "mode", "stop_fraction", "out")
@@ -152,7 +150,6 @@ def _dispatch(args: argparse.Namespace) -> int:
         records, stats = experiment.cmd_simulate(
             args.d, args.n, args.runs, args.seed,
             stop_fraction=args.stop_fraction,
-            promote_fully_paired=not args.literal_promotion,
             snapshot_every=args.snapshot_every, out=args.out,
         )
         for rec in records:

@@ -8,13 +8,13 @@ z_d is the untouched pool). Stage one runs in rounds, each solved exactly
 (`ExactRound`) until the red unpaired points fall to DELTA_STOP; then the
 hit whites z_0..z_{d-1} are promoted into the red block and the next
 round starts. Stage one stops mid-round, at the moment the mass a
-promotion would make red (1 - z_d, less z_0 when fully paired whites stay
-white) reaches the target fraction. The promotion of that state is the
-hand-off: it seeds stage two with all of the mass, and stage two is one
-numerically integrated leg, draining the low red classes until the
-balance event. The bound is the width of the balanced partition the
-simulation builds (the red set less class 1), read off in the fluid limit
-by a backward pass along the path (see the readout section).
+promotion would make red (1 - z_d) reaches the target fraction. The
+promotion of that state is the hand-off: it seeds stage two with all of
+the mass, and stage two is one numerically integrated leg, draining the
+low red classes until the balance event. The bound is the width of the
+balanced partition the simulation builds (the red set less class 1), read
+off in the fluid limit by a backward pass along the path (see the readout
+section).
 
 The process is defined once: `_leg_layout` gives each leg's point
 counts, moves and first-point pool, from which the right-hand sides and
@@ -40,8 +40,6 @@ EPS_NEG = 1e-12  # negativity tolerance
 CLAMP_TOL = 1e-9  # the most a promotion may change the total mass by
 STOP_TOL = 1e-13  # stop_u: closed form and promoted state differ by under 1e-15
 EPS_DEFAULT = 1e-5
-EPS_DEFAULT_D9 = 1e-4  # lands d = 9 near the table (0.88633 vs 0.88097);
-#                       1e-5 also runs without flags, at 0.90858
 FIXED_LEG_SHARE = 32  # fixed mode: stage two's grid gets steps/FIXED_LEG_SHARE
 FIXED_MIN_LEG_STEPS = 256
 MAX_LEG_TIME = 64.0
@@ -53,8 +51,8 @@ RTOL, ATOL = 1e-10, 1e-12  # adaptive stage two
 class DemState:
     """Scaled class sizes in the layout of both stages: r_0..r_{d-1} and
     z_0..z_d by unpaired points, z_d the untouched pool. In stage two
-    z_1..z_{d-1} are 0 and z_0 holds the fully paired whites, which stage
-    two never touches (0 unless they were left white at the hand-off)."""
+    z_0..z_{d-1} are 0: the hand-off promotes every hit white, and stage
+    two turns a white red on its first hit."""
 
     d: int
     r: np.ndarray
@@ -168,7 +166,7 @@ def rhs_phase2(d: int):
     """Stage-two derivative of [r_0..r_{d-1}, z_0..z_d]: first points come
     from the low red classes 1..ceil(d/2), second points from every class,
     and a hit white turns red, so the untouched pool z_d drains into
-    r_{d-1} and z_1..z_{d-1} stay empty."""
+    r_{d-1} and z_0..z_{d-1} stay empty."""
     return _leg_rhs(d, "two")
 
 
@@ -256,27 +254,24 @@ class ExactRound:
         """[r, z] at time t into the round."""
         return self.state(self.u_at(t)).vector
 
-    def stop_u(self, frac: float, promote_fully_paired: bool) -> float | None:
+    def stop_u(self, frac: float) -> float | None:
         """The first u at which a promotion would make a red mass of at
         least frac, or None if the round ends first.
 
-        That mass is the total less the untouched pool, z_d (1-u)^d, and
-        (when they stay white) the fully paired whites, z_0 + z_d u^d, the
-        only whites a round starts with. It rises with u up to u = 1/2,
-        where it is at least 1 - 2^-d if every hit white is promoted and at
-        its maximum otherwise, so with frac <= 1/2 bisection on
-        [0, min(u_end, 1/2)] finds the first crossing. A halving takes its
-        side from that closed form unless it is within STOP_TOL of frac,
-        where the promoted state decides, so the float found is the same.
+        That mass is the total less the untouched pool, z_d (1-u)^d. It
+        rises with u, and at u = 1/2 it is at least 1 - 2^-d, so with
+        frac <= 1/2 bisection on [0, min(u_end, 1/2)] finds the first
+        crossing. A halving takes its side from that closed form unless it
+        is within STOP_TOL of frac, where the promoted state decides, so
+        the float found is the same.
         """
-        d, z0, zd = self.s0.d, float(self.s0.z[0]), float(self.s0.z[-1])
-        stays = 0.0 if promote_fully_paired else 1.0
+        d, zd = self.s0.d, float(self.s0.z[-1])
 
         def short(u: float) -> bool:
-            gap = self.s0.mass - zd * (1.0 - u) ** d - stays * (z0 + zd * u**d) - frac
+            gap = self.s0.mass - zd * (1.0 - u) ** d - frac
             if abs(gap) > STOP_TOL:
                 return gap < 0.0
-            return rollover(self.state(u), promote_fully_paired).red_mass < frac
+            return rollover(self.state(u)).red_mass < frac
 
         lo, hi = 0.0, min(self.u_end, 0.5)
         if short(hi):
@@ -303,35 +298,31 @@ def init_state(d: int, eps: float) -> DemState:
     return DemState(d, r, z)
 
 
-def _transition(d: int, promote_fully_paired: bool) -> np.ndarray:
+def _transition(d: int) -> np.ndarray:
     """Index of each entry of [r_0..r_{d-1}, z_0..z_d] after a promotion.
-    Red classes stay, the hit whites z_j join r_j, and the untouched pool
-    stays. Fully paired whites z_0 join r_0, or in the literal variant stay
-    white."""
-    m = np.concatenate([np.arange(d), np.arange(d), [2 * d]])
-    if not promote_fully_paired:
-        m[d] = d
-    return m
+    Red classes stay, the hit whites z_j (fully paired ones included) join
+    r_j, and the untouched pool stays."""
+    return np.concatenate([np.arange(d), np.arange(d), [2 * d]])
 
 
-def rollover(s: DemState, promote_fully_paired: bool = True) -> DemState:
+def rollover(s: DemState) -> DemState:
     """End-of-round promotion of the hit whites (see `_transition`)."""
-    m = _transition(s.d, promote_fully_paired)
+    m = _transition(s.d)
     return DemState.from_vector(s.d, np.bincount(m, s.vector, m.size))
 
 
-def phase2_init(s: DemState, promote_fully_paired: bool = True) -> DemState:
+def phase2_init(s: DemState) -> DemState:
     """Seed of stage two from the stage-one state at its stop. Both stages
     share one layout, so the hand-off is that round's promotion."""
-    return rollover(s, promote_fully_paired)
+    return rollover(s)
 
 
 # -- readout: the boundary of the balanced partition -------------------------
 #
 # The half is the red set less class 1, topped up or trimmed to exactly
 # stop_fraction. Its boundary is every vertex of it with an unpaired point,
-# plus every fully paired one with a neighbour outside it (in class 1, or a
-# fully paired white left white), so width = stop_fraction - interior,
+# plus every fully paired one with a neighbour outside it (in class 1: every
+# white a red vertex hits turns red), so width = stop_fraction - interior,
 # where the interior is the fully paired red vertices with every neighbour
 # in the half. That is not a function of the class sizes, but it has a
 # fluid limit: a vertex's unpaired-point count runs as a Markov chain whose
@@ -442,16 +433,14 @@ def _relabel(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return x[np.concatenate([m, m + m.size])]
 
 
-def pull_back(
-    d: int, legs: list[Leg], x: np.ndarray, promote_fully_paired: bool = True
-) -> tuple[np.ndarray, list]:
+def pull_back(d: int, legs: list[Leg], x: np.ndarray) -> tuple[np.ndarray, list]:
     """Carry [h, k] from the end of a run back to its seed through the legs
     of the run and the promotion that ends each round (the last one is the
     hand-off): rounds exactly, the stage-two leg by a backward solve;
     returns it with the flags of a backward solve that did not finish."""
     if not legs or legs[0].kind != "one":
         raise ValueError("a run starts with a stage-one leg")
-    m = _transition(d, promote_fully_paired)
+    m = _transition(d)
     flags = []
     for leg in reversed(legs):
         if leg.kind == "one":
@@ -463,9 +452,7 @@ def pull_back(
     return x, flags
 
 
-def interior_mass(
-    d: int, eps: float, legs: list[Leg], promote_fully_paired: bool = True
-) -> tuple[float, list]:
+def interior_mass(d: int, eps: float, legs: list[Leg]) -> tuple[float, list]:
     """Fluid limit of the interior of the balanced half, as a fraction of
     n, for the run seeded at eps whose legs are given; returns it with
     the flags of `pull_back`."""
@@ -474,7 +461,7 @@ def interior_mass(
     h[1] = 0.0
     k = np.zeros(2 * d + 1)
     k[0] = 1.0
-    x, flags = pull_back(d, legs, np.concatenate([h, k]), promote_fully_paired)
+    x, flags = pull_back(d, legs, np.concatenate([h, k]))
     h, k = x[: 2 * d + 1], x[2 * d + 1 :]
     seed = init_state(d, eps)
     # the seed tree: roots (red 0) with d leaf neighbours, leaves (red d-1)
@@ -552,7 +539,6 @@ def run_dem(
     *,
     mode: str = "adaptive",
     steps: int = 10**6,
-    promote_fully_paired: bool = True,
 ) -> DemRunResult:
     """Full two-stage run for one degree; returns the bound and the full
     phase history.
@@ -580,7 +566,7 @@ def run_dem(
     if not 0.0 < stop_fraction <= 0.5:
         raise ValueError("stop_fraction must be in (0, 0.5]")
     if eps is None:
-        eps = EPS_DEFAULT_D9 if d == 9 else EPS_DEFAULT
+        eps = EPS_DEFAULT
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)
 
     res = DemRunResult(
@@ -590,12 +576,12 @@ def run_dem(
     state = init_state(d, eps)
     while True:
         rnd = ExactRound(state)
-        u = rnd.stop_u(stop_fraction, promote_fully_paired)
+        u = rnd.stop_u(stop_fraction)
         u = rnd.u_end if u is None else u
         end = rnd.state(u)
         legs.append(Leg("one", rnd.t_at(u), round=rnd, u=u))
         res.round_end_states.append(end)
-        rolled = rollover(end, promote_fully_paired)
+        rolled = rollover(end)
         gap = rolled.mass - end.mass
         if abs(gap) > CLAMP_TOL:
             raise RuntimeError(
@@ -640,7 +626,7 @@ def run_dem(
             res.flags += [f"stage2_{fired or raw.status}", "no_balance"]
 
     res.final_state = state
-    interior, readout_flags = interior_mass(d, eps, legs, promote_fully_paired)
+    interior, readout_flags = interior_mass(d, eps, legs)
     res.flags += readout_flags
     res.alpha_upper = 1.0 - interior / stop_fraction
     if not 0.0 < res.alpha_upper <= 1.0:

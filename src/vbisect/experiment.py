@@ -43,21 +43,14 @@ class RunRecord:
     flags: str = ""  # what the run reported, ";"-joined
     stop_fraction: float = 0.5
     strategy: str = ""  # alg1: graph sampling strategy
-    promote_fully_paired: bool = True  # sim and dem: promotion variant
     mode: str = ""  # dem: stage-two integrator mode
     steps: int = 0  # dem: fixed-mode step budget
-
-
-def _parse_bool(text: str) -> bool:
-    if text not in ("True", "False"):
-        raise ValueError(f"not a bool: {text!r}")
-    return text == "True"
 
 
 # CSV columns in file order; the header is the schema. Floats are written
 # with repr, so they read back exactly
 RECORD_FIELDS = [f.name for f in fields(RunRecord)]
-_PARSE = {"int": int, "float": float, "str": str, "bool": _parse_bool}
+_PARSE = {"int": int, "float": float, "str": str}
 
 
 def _child_seed(base: int, *key: int) -> int:
@@ -99,8 +92,15 @@ def records_to_csv(records, path, append: bool = True) -> None:
 
 
 def _layout_error(header) -> str:
-    return (f"written with another column layout (columns {header});"
-            f" expected columns {RECORD_FIELDS}")
+    """What sets a file's header apart from RECORD_FIELDS."""
+    header = header or []
+    diff = [(what, cols) for what, cols in (
+        ("missing", [c for c in RECORD_FIELDS if c not in header]),
+        ("extra", [c for c in header if c not in RECORD_FIELDS])) if cols]
+    if not diff:
+        return "written with the expected columns, reordered or repeated"
+    return "written with another column layout: " + "; ".join(
+        f"{what} columns {', '.join(cols)}" for what, cols in diff)
 
 
 def records_from_csv(path) -> list[RunRecord]:
@@ -172,7 +172,6 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
             rec.n,
             rec.d,
             seed=_child_seed(base, 3, si),
-            promote_fully_paired=rec.promote_fully_paired,
             stop_fraction=rec.stop_fraction,
             snapshot_every=snapshot_every,
         )
@@ -186,8 +185,7 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
         flags = trace2.flags + trace3.flags
     elif rec.method == "dem":
         trace = dem_mod.run_dem(
-            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps,
-            promote_fully_paired=rec.promote_fully_paired,
+            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps
         )
         rec = replace(rec, eps=trace.eps)
         alpha, width, flags = trace.alpha_upper, 0, trace.flags
@@ -343,7 +341,6 @@ def cmd_simulate(
     seed: int = 0,
     *,
     stop_fraction: float = 0.5,
-    promote_fully_paired: bool = True,
     snapshot_every: int = 0,
     out=None,
 ):
@@ -353,8 +350,7 @@ def cmd_simulate(
     for si in range(seeds):
         rec, (trace2, trace3) = run_record(
             RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0,
-                      stop_fraction=stop_fraction,
-                      promote_fully_paired=promote_fully_paired),
+                      stop_fraction=stop_fraction),
             snapshot_every=snapshot_every,
         )
         records.append(rec)

@@ -277,17 +277,16 @@ class PairingState:
         self.edge_count -= 1
         self.steps -= 1
 
-    def rollover(self, promote_fully_paired: bool = True) -> int:
-        """Recolor the white vertices hit so far (classes below d) red.
+    def rollover(self) -> int:
+        """Recolor the white vertices hit so far (classes 0..d-1, the
+        fully paired ones included) red.
 
         Each white class i joins red class i in one block, in list order,
         which is where one-by-one moves would put its members.
-        promote_fully_paired=False leaves the fully paired white vertices
-        white, matching the narrower reading of the promotion step.
         Returns the number of vertices recolored."""
         pos, is_red = self.pos, self.is_red
         moved = 0
-        for i in range(0 if promote_fully_paired else 1, self.d):
+        for i in range(self.d):
             whites, reds = self.white_cls[i], self.red_cls[i]
             for j, u in enumerate(whites, len(reds)):
                 pos[u] = j
@@ -337,7 +336,6 @@ def run_alg2(
     d: int,
     seed=None,
     *,
-    promote_fully_paired: bool = True,
     stop_fraction: float = 0.5,
     snapshot_every: int = 0,
     stop_after_steps: int | None = None,
@@ -346,14 +344,14 @@ def run_alg2(
     stop_fraction of the vertices.
 
     Each round drains the red unpaired points, then the promotion recolors
-    every white vertex that has been hit. The last round stops mid-round,
-    after the exposure that brings the number of vertices the promotion
-    would make red (every vertex but the untouched whites, less the fully
-    paired whites when promote_fully_paired is False) to n * stop_fraction;
-    that state is the last entry of trace.round_end_fractions, and
-    promoting it lands the red set on the target, which the state keeps
-    for `run_alg3`. stop_after_steps returns mid-round after that many
-    exposures (used to freeze states for drift tests).
+    every white vertex that has been hit, fully paired or not. The last
+    round stops mid-round, after the exposure that brings the number of
+    vertices the promotion would make red (every vertex but the untouched
+    whites) to n * stop_fraction; that state is the last entry of
+    trace.round_end_fractions, and promoting it lands the red set on the
+    target, which the state keeps for `run_alg3`. stop_after_steps returns
+    mid-round after that many exposures (used to freeze states for drift
+    tests).
     """
     if (n * d) % 2 != 0:
         raise ValueError("n*d must be even")
@@ -371,16 +369,14 @@ def run_alg2(
     st._move(x0, 1, 0)
 
     target = n * stop_fraction
-    # the promotion would make every vertex red but the untouched whites and
-    # the kept ones: the fully paired whites when those stay white
+    # the promotion would make every vertex red but the untouched whites
     untouched = st.white_cls[d]
-    kept = [] if promote_fully_paired else st.white_cls[0]
 
     phase = 0
     if snapshot_every:
         trace.snapshot(st, phase)
     while True:
-        while st.points_red > 0 and n - len(untouched) - len(kept) < target:
+        while st.points_red > 0 and n - len(untouched) < target:
             st.expose_step(rng)
             if snapshot_every and st.steps % snapshot_every == 0:
                 trace.snapshot(st, phase)
@@ -390,7 +386,7 @@ def run_alg2(
                 return st, trace
         trace.phase_ends.append(st.steps)
         trace.round_end_fractions.append(st.class_fractions())
-        moved = st.rollover(promote_fully_paired)
+        moved = st.rollover()
         phase += 1
         trace.post_roll_fractions.append(st.class_fractions())
         if snapshot_every:

@@ -4,8 +4,7 @@ These are the published figures the package is validated against. They are
 inputs to tests and reports, never to the algorithms themselves.
 """
 
-# Fluid-limit upper bounds per degree. run_dem seeds d=9 at 1e-4, where it
-# gives 0.88633; which seed produced the table is not known.
+# Fluid-limit upper bounds per degree; which seed produced them is not known.
 FLUID_ALPHA = {
     4: 0.58103,
     5: 0.61018,

@@ -57,6 +57,22 @@ def test_truncated_records_file_exits_two(tmp_path, capsys):
     assert "line 2: expected" in capsys.readouterr().err
 
 
+def test_records_file_in_an_older_layout_names_the_column_difference(
+    tmp_path, capsys
+):
+    # the 15-column layout that still stored a promotion variant per record
+    path = tmp_path / "records.csv"
+    path.write_text(
+        "method,d,n,seed,r0_offset,eps,alpha,width,wall_time_ms,flags,"
+        "stop_fraction,strategy,promote_fully_paired,mode,steps\n"
+        "dem,4,0,,0,1e-05,0.75,0,10.0,,0.5,,True,adaptive,1000000\n"
+    )
+    assert main(["report", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "extra columns promote_fully_paired" in err
+    assert "missing" not in err
+
+
 def test_alg1_snapshot_artifacts(tmp_path, capsys):
     rc = main(["alg1", "--d", "3", "--n", "200", "--runs", "2", "--graphs", "2",
                "--seed", "4", "--out", str(tmp_path)])

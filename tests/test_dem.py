@@ -28,10 +28,10 @@ ALPHA_PINNED = {
     6: 0.9069932613548599,
     7: 0.8220098768048919,
     8: 0.9587038154404097,
-    9: 0.8863319698046255,
+    9: 0.9085810012166543,
     10: 0.8576948202135218,
 }
-PHASES_PINNED = {3: 16, 4: 10, 5: 8, 6: 7, 7: 7, 8: 6, 9: 5, 10: 6}
+PHASES_PINNED = {3: 16, 4: 10, 5: 8, 6: 7, 7: 7, 8: 6, 9: 6, 10: 6}
 FLAGS_PINNED = {d: [] for d in range(3, 11)}
 
 
@@ -136,60 +136,57 @@ def test_exact_round_matches_integrated_rhs(d):
 
 
 @pytest.mark.parametrize("d", range(3, 11))
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
-def test_exact_round_pull_back_matches_backward_solve(
-    monkeypatch, d, promote_fully_paired
-):
+@pytest.mark.parametrize("at_end", [True, False])
+def test_exact_round_pull_back_matches_backward_solve(monkeypatch, d, at_end):
     # the oracle: the backward equations solved along the exact round's
-    # path, from the seed, from a promoted random state (the start of a
-    # later round) and from a random state with every white class filled.
-    # At the readout's own tolerance the solve is off by up to 2.5e-8, so
-    # the oracle runs at the stage-one oracle's rtol
+    # path, to the end of the round or to mid-round, from the seed, from a
+    # promoted random state (the start of a later round) and from a random
+    # state with every white class filled. At the readout's own tolerance
+    # the solve is off by up to 2.5e-8, so the oracle runs at the
+    # stage-one oracle's rtol
     monkeypatch.setattr(dem, "READOUT_RTOL", 1e-10)
     monkeypatch.setattr(dem, "READOUT_ATOL", 1e-12)
-    rng = np.random.default_rng([60 + d, promote_fully_paired])
+    rng = np.random.default_rng([60 + d, at_end])
     rand = _random_stage_one_state(d, rng)
-    starts = (dem.init_state(d, 1e-5), dem.rollover(rand, promote_fully_paired), rand)
+    starts = (dem.init_state(d, 1e-5), dem.rollover(rand), rand)
     for s0 in starts:
         rnd = dem.ExactRound(s0)
-        for u in (0.5 * rnd.u_end, rnd.u_end):
-            x = rng.uniform(0.0, 1.0, 2 * (2 * d + 1))
-            leg = dem.Leg("one", rnd.t_at(u), rnd.vector)
-            oracle, status = dem._pull_back_leg(d, leg, x)
-            assert status == "t_end"
-            got = rnd.pull_back(u, x)
-            assert np.abs(got - oracle).max() <= 1e-9
-            # h is a martingale along a vertex's chain, exactly
-            h_start, h_end = got[: 2 * d + 1], x[: 2 * d + 1]
-            assert s0.vector @ h_start == pytest.approx(
-                rnd.state(u).vector @ h_end, abs=1e-12
-            )
+        u = rnd.u_end if at_end else 0.5 * rnd.u_end
+        x = rng.uniform(0.0, 1.0, 2 * (2 * d + 1))
+        leg = dem.Leg("one", rnd.t_at(u), rnd.vector)
+        oracle, status = dem._pull_back_leg(d, leg, x)
+        assert status == "t_end"
+        got = rnd.pull_back(u, x)
+        assert np.abs(got - oracle).max() <= 1e-9
+        # h is a martingale along a vertex's chain, exactly
+        h_start, h_end = got[: 2 * d + 1], x[: 2 * d + 1]
+        assert s0.vector @ h_start == pytest.approx(
+            rnd.state(u).vector @ h_end, abs=1e-12
+        )
 
 
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
-def test_stop_is_the_first_crossing_of_the_target(promote_fully_paired):
+def test_stop_is_the_first_crossing_of_the_target():
     # a round of the default d = 4 run, with a target halfway through its
     # promotion: just before the stop the promotion falls short
-    res = dem.run_dem(4, promote_fully_paired=promote_fully_paired)
+    res = dem.run_dem(4)
     rnd = dem.ExactRound(res.post_roll_states[3])
     frac = rnd.s0.red_mass + 0.5 * (
-        dem.rollover(rnd.state(rnd.u_end), promote_fully_paired).red_mass
-        - rnd.s0.red_mass
+        dem.rollover(rnd.state(rnd.u_end)).red_mass - rnd.s0.red_mass
     )
-    u = rnd.stop_u(frac, promote_fully_paired)
+    u = rnd.stop_u(frac)
     assert 0.0 < u < rnd.u_end
     for v, short in ((u, False), (u * (1 - 1e-12), True)):
-        red = dem.rollover(rnd.state(v), promote_fully_paired).red_mass
+        red = dem.rollover(rnd.state(v)).red_mass
         assert (red < frac) is short
-    assert rnd.stop_u(1.0, promote_fully_paired) is None
+    assert rnd.stop_u(1.0) is None
 
 
-def _stop_u_on_the_state(rnd, frac, promote_fully_paired):
+def _stop_u_on_the_state(rnd, frac):
     """Reference for `ExactRound.stop_u`: bisection that builds the
     promoted state at every halving."""
 
     def short(u):
-        return dem.rollover(rnd.state(u), promote_fully_paired).red_mass < frac
+        return dem.rollover(rnd.state(u)).red_mass < frac
 
     lo, hi = 0.0, min(rnd.u_end, 0.5)
     if short(hi):
@@ -200,20 +197,18 @@ def _stop_u_on_the_state(rnd, frac, promote_fully_paired):
     return hi
 
 
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
+@pytest.mark.parametrize("at_half", [True, False])
 @pytest.mark.parametrize("d", range(3, 11))
-def test_stop_u_matches_bisection_on_the_state(d, promote_fully_paired):
-    # every round of a run, including the one it stops in: the closed form
-    # only picks each halving's side, so the stop is the same float
-    for frac in (0.5, 0.05):
-        res = dem.run_dem(d, stop_fraction=frac,
-                          promote_fully_paired=promote_fully_paired)
-        starts = [dem.init_state(d, res.eps)] + res.post_roll_states[:-1]
-        for s0 in starts:
-            rnd = dem.ExactRound(s0)
-            assert rnd.stop_u(frac, promote_fully_paired) == _stop_u_on_the_state(
-                rnd, frac, promote_fully_paired
-            )
+def test_stop_u_matches_bisection_on_the_state(d, at_half):
+    # every round of a run to half the vertices or to 0.05 of them,
+    # including the one it stops in: the closed form only picks each
+    # halving's side, so the stop is the same float
+    frac = 0.5 if at_half else 0.05
+    res = dem.run_dem(d, stop_fraction=frac)
+    starts = [dem.init_state(d, res.eps)] + res.post_roll_states[:-1]
+    for s0 in starts:
+        rnd = dem.ExactRound(s0)
+        assert rnd.stop_u(frac) == _stop_u_on_the_state(rnd, frac)
 
 
 @pytest.mark.parametrize("family", ["draw_low", "draw_any"])
@@ -270,13 +265,6 @@ def test_rollover_moves_shells_to_red():
     assert rolled.z.tolist() == [0.0, 0.0, 0.0, 0.0, 0.25]
 
 
-def test_rollover_literal_variant_keeps_class_zero():
-    s = dem.DemState(4, np.full(4, 0.125), np.array([0.0625] * 4 + [0.25]))
-    rolled = dem.rollover(s, promote_fully_paired=False)
-    assert rolled.r.tolist() == [0.125, 0.1875, 0.1875, 0.1875]
-    assert rolled.z[0] == 0.0625
-
-
 def test_stage_two_relabel_drops_open_shells():
     # named for the defect it pinned: the relabel now promotes the hit
     # whites (shells) into the red classes instead of dropping them. Both
@@ -287,14 +275,8 @@ def test_stage_two_relabel_drops_open_shells():
     assert s2.r.tolist() == [0.265625, 0.15625, 0.0, 0.0625]
     assert s2.z.tolist() == [0.0, 0.0, 0.0, 0.0, 0.5]
     assert s2.mass == s.mass
-    # the literal variant keeps the fully paired whites white, in z_0
-    s3 = dem.phase2_init(s, promote_fully_paired=False)
-    assert s3.r.tolist() == [0.25, 0.15625, 0.0, 0.0625]
-    assert s3.z.tolist() == [0.015625, 0.0, 0.0, 0.0, 0.5]
-    assert s3.mass == s.mass
-    for promote, seed in ((True, s2), (False, s3)):
-        rolled = dem.rollover(s, promote)
-        assert (seed.r.tolist(), seed.z.tolist()) == (rolled.r.tolist(), rolled.z.tolist())
+    rolled = dem.rollover(s)
+    assert (s2.r.tolist(), s2.z.tolist()) == (rolled.r.tolist(), rolled.z.tolist())
 
 
 # -- single legs ------------------------------------------------------------
@@ -387,27 +369,9 @@ def test_run_rejects_bad_params():
 
 
 def test_default_seed_mass_is_degree_aware():
+    # one default seed for every degree: no degree is tuned to the table
     assert dem.run_dem(4).eps == 1e-5
-    assert dem.run_dem(9).eps == 1e-4
-
-
-def test_literal_promotion_variant_completes():
-    res = dem.run_dem(4, promote_fully_paired=False)
-    assert math.isfinite(res.alpha_upper)
-    assert 0.0 < res.alpha_upper <= 1.0
-
-
-@pytest.mark.parametrize("d", range(3, 11))
-def test_literal_variant_carries_paired_whites_into_stage_two(d):
-    res = dem.run_dem(d, promote_fully_paired=False)
-    # every promotion keeps the mass, the last one (the hand-off) included
-    for end, rolled in zip(res.round_end_states, res.post_roll_states):
-        assert abs(rolled.mass - end.mass) <= dem.CLAMP_TOL
-    handoff = res.handoff_state
-    assert handoff.z[0] > 0.0
-    # stage two never touches them, and the hit-white classes stay empty
-    assert res.final_state.z[:d].tolist() == [handoff.z[0]] + [0.0] * (d - 1)
-    assert "no_balance" not in res.flags
+    assert dem.run_dem(9).eps == 1e-5
 
 
 def test_stop_event_lands_the_promotion_on_the_target(dem_adaptive):
@@ -418,7 +382,7 @@ def test_stop_event_lands_the_promotion_on_the_target(dem_adaptive):
 
 def test_mass_losing_hand_off_raises(monkeypatch):
     # the hand-off is the last promotion, so the promotion check covers it
-    def dropping_rollover(s, promote_fully_paired=True):
+    def dropping_rollover(s):
         z = np.zeros(s.d + 1)
         z[s.d] = s.z[s.d]  # the hit whites are left out
         return dem.DemState(s.d, s.r, z)
@@ -435,28 +399,26 @@ def _run_with_legs(monkeypatch, d, **kw):
     seen = {}
     real = dem.interior_mass
 
-    def spy(d, eps, legs, promote_fully_paired=True):
+    def spy(d, eps, legs):
         seen["legs"] = legs
-        return real(d, eps, legs, promote_fully_paired)
+        return real(d, eps, legs)
 
     monkeypatch.setattr(dem, "interior_mass", spy)
     return dem.run_dem(d, **kw), seen["legs"]
 
 
 @pytest.mark.parametrize("d", [3, 5, 8])
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
-def test_half_membership_pulls_back_to_the_half(monkeypatch, d, promote_fully_paired):
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_half_membership_pulls_back_to_the_half(monkeypatch, d, adaptive):
     # h is a martingale along each vertex's chain, so the seed's mass
-    # weighted by h must equal the mass of the half at the end
-    res, legs = _run_with_legs(
-        monkeypatch, d, promote_fully_paired=promote_fully_paired
-    )
+    # weighted by h must equal the mass of the half at the end, whether
+    # stage two is solved adaptively or on the fixed grid
+    mode = "adaptive" if adaptive else "fixed"
+    res, legs = _run_with_legs(monkeypatch, d, mode=mode, steps=125_000)
     h = np.zeros(2 * d + 1)
     h[:d] = 1.0  # red classes 0 and 2..d-1; no white is in the half
     h[1] = 0.0
-    x, flags = dem.pull_back(
-        d, legs, np.concatenate([h, np.zeros(2 * d + 1)]), promote_fully_paired
-    )
+    x, flags = dem.pull_back(d, legs, np.concatenate([h, np.zeros(2 * d + 1)]))
     assert flags == []
     seed = dem.init_state(d, res.eps)
     end = res.final_state
@@ -479,25 +441,27 @@ def test_fully_paired_pulls_back_to_class_zero(monkeypatch, d):
     assert mass == pytest.approx(res.final_state.r[0], abs=1e-7)
 
 
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
-def test_readout_within_class_bounds(promote_fully_paired):
+@pytest.mark.parametrize("adaptive", [True, False])
+def test_readout_within_class_bounds(adaptive):
     # the interior is at most the fully paired red mass, and loses at most
-    # d - 1 vertices per class-1 vertex and d per white left white; 1e-7
-    # covers the backward solve and the path interpolant. Over the config
-    # grid, fixed mode at 125 000 steps included, every backward solve
-    # finishes and every run balances in one stage-two leg.
-    grid = itertools.product(range(3, 11), (0.5, 0.3), (None, "d/n"), ("adaptive",))
-    fixed = ((d, 0.5, None, "fixed") for d in range(3, 11))
-    for d, sf, eps, mode in itertools.chain(grid, fixed):
-        eps = d / 1e5 if eps == "d/n" else eps
-        res = dem.run_dem(
-            d, eps, sf, mode=mode, steps=125_000,
-            promote_fully_paired=promote_fully_paired,
+    # d - 1 vertices per class-1 vertex; 1e-7 covers the backward solve and
+    # the path interpolant. Over the adaptive config grid, and in fixed
+    # mode at 125 000 steps, every backward solve finishes, every run
+    # balances in one stage-two leg, and stage two holds no hit white.
+    if adaptive:
+        configs = itertools.product(
+            range(3, 11), (0.5, 0.3), (None, "d/n"), ("adaptive",)
         )
+    else:
+        configs = ((d, 0.5, None, "fixed") for d in range(3, 11))
+    for d, sf, eps, mode in configs:
+        eps = d / 1e5 if eps == "d/n" else eps
+        res = dem.run_dem(d, eps, sf, mode=mode, steps=125_000)
         assert not [f for f in res.flags if f.startswith(("readout_", "no_balance"))]
         assert res.n_steps > 0
         end = res.final_state
-        lost = (d - 1) * end.r[1] + d * end.z[0]
+        assert end.z[:d].tolist() == [0.0] * d
+        lost = (d - 1) * end.r[1]
         assert 1.0 - end.r[0] / sf - 1e-7 <= res.alpha_upper
         assert res.alpha_upper <= 1.0 - (end.r[0] - lost) / sf + 1e-7
 

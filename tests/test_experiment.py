@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vbisect import dem, experiment, reference
+from vbisect import experiment, reference
 from vbisect.experiment import (
     RECORD_FIELDS,
     RunRecord,
@@ -74,18 +74,14 @@ def test_csv_creates_parent_directories(tmp_path):
 def test_csv_rejects_foreign_header(tmp_path):
     path = tmp_path / "other.csv"
     path.write_text("a,b,c\n1,2,3\n")
-    with pytest.raises(ValueError, match="columns"):
+    with pytest.raises(ValueError,
+                       match="missing columns method, d,.*; extra columns a, b, c$"):
         records_from_csv(path)
     # appending rows under another header would make the file unreadable
     with pytest.raises(ValueError, match="columns"):
         records_to_csv(_sample_records(), path)
-
-
-def test_csv_rejects_a_bool_cell_other_than_true_or_false(tmp_path):
-    path = tmp_path / "records.csv"
-    records_to_csv(_sample_records()[:1], path)
-    path.write_text(path.read_text().replace(",True,", ",yes,"))
-    with pytest.raises(ValueError, match="bool"):
+    path.write_text(",".join(reversed(RECORD_FIELDS)) + "\n")
+    with pytest.raises(ValueError, match="expected columns, reordered"):
         records_from_csv(path)
 
 
@@ -301,14 +297,6 @@ def test_dem_records_replay_bit_exact():
     assert replay_record(records[0]) == records[0].alpha
 
 
-def test_dem_record_runs_its_promotion_variant():
-    rec = RunRecord("dem", 4, 0, "", 0, None, promote_fully_paired=False,
-                    mode="adaptive", steps=10**6)
-    literal = dem.run_dem(4, promote_fully_paired=False).alpha_upper
-    assert literal != dem.run_dem(4).alpha_upper
-    assert experiment.run_record(rec)[0].alpha == literal
-
-
 def test_non_default_configs_replay_bit_exact(tmp_path):
     # each of these alphas differs from the one the default config gives;
     # replay reads the config from the columns a CSV round trip gives back
@@ -317,7 +305,6 @@ def test_non_default_configs_replay_bit_exact(tmp_path):
         cmd_alg1(3, n=60, runs=2, graphs=2, seed=4, strategy="restart")[0][1],
         cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, r0_offset=1)[0][0],
         cmd_simulate(4, n=300, seeds=1, seed=9, stop_fraction=0.3)[0][0],
-        cmd_simulate(3, n=2000, seeds=1, seed=9, promote_fully_paired=False)[0][0],
         cmd_dem([4], stop_fraction=0.3)[0][0],
         cmd_dem([4], mode="fixed", steps=20_000)[0][0],
     ]
@@ -325,10 +312,9 @@ def test_non_default_configs_replay_bit_exact(tmp_path):
     records_to_csv(records, path)
     stored = records_from_csv(path)
     assert stored == records
-    assert [r.stop_fraction for r in stored] == [0.3, 0.5, 0.5, 0.3, 0.5, 0.3, 0.5]
+    assert [r.stop_fraction for r in stored] == [0.3, 0.5, 0.5, 0.3, 0.3, 0.5]
     assert stored[1].strategy == "restart" and stored[2].r0_offset == 1
-    assert stored[4].promote_fully_paired is False
-    assert (stored[6].mode, stored[6].steps) == ("fixed", 20_000)
+    assert (stored[5].mode, stored[5].steps) == ("fixed", 20_000)
     for rec in stored:
         assert replay_record(rec) == rec.alpha
 
@@ -341,7 +327,6 @@ def _run_configs(draw):
     if method == "dem":
         return RunRecord("dem", d, 0, "", 0, None,
                          stop_fraction=draw(st.floats(0.0, 0.5, exclude_min=True)),
-                         promote_fully_paired=draw(st.booleans()),
                          mode=draw(st.sampled_from(["adaptive", "fixed"])),
                          steps=draw(st.sampled_from([2_000, 20_000])))
     n = 2 * draw(st.integers(d + 1, 150))  # n*d even
@@ -350,8 +335,7 @@ def _run_configs(draw):
     base = draw(st.integers(0, 2**32 - 1))
     if method == "sim":
         return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0,
-                         stop_fraction=stop_fraction,
-                         promote_fully_paired=draw(st.booleans()))
+                         stop_fraction=stop_fraction)
     # restart can run out of max_restarts above d = 4
     strategy = draw(st.sampled_from(["rematch", "restart"] if d <= 4 else ["rematch"]))
     gi, ri = draw(st.integers(0, 9)), draw(st.integers(0, 9))

@@ -45,32 +45,33 @@ def _drained_half_red_state(n: int, d: int, rng_seed: int) -> PairingState:
 
 # -- golden pin -------------------------------------------------------------
 
-# (n, d, seed_alg2, seed_alg3, promote_fully_paired, stop_fraction) ->
+# (n, d, seed_alg2, seed_alg3, stop_fraction) ->
 # (alpha, steps, phase_count, flags of both stages, sha256 prefixes of
 # bytes(is_red) and of bytes(free)). Any change to the draw order, the
-# point numbering or the promotion order shows here. The last row is a
-# start vertex whose component is smaller than the target.
+# point numbering or the promotion order shows here. Each degree runs
+# three seeds at stop_fraction 0.5 and the same seeds at 0.3. The last row
+# is a start vertex whose component is smaller than the target.
 GOLDEN = [
-    ((2000, 3, 1, 101, True, 0.5), (0.579, 1620, 9, [], '41b6554e9b84661c', 'd164d52cf9f4db06')),
-    ((2000, 3, 2, 102, True, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
-    ((2000, 3, 3, 103, True, 0.5), (0.585, 1627, 9, [], 'efc6f40f2975c407', '1b51a22d4fd478eb')),
-    ((2000, 3, 1, 101, False, 0.5), (0.588, 1623, 9, ['balance_trim'], '1f99529f0af21301', 'f97c8b04af88c9e4')),
-    ((2000, 3, 2, 102, False, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
-    ((2000, 3, 3, 103, False, 0.5), (0.584, 1629, 9, ['balance_trim'], '89ee21e828ecdf6b', 'dee25a5789ae27d2')),
-    ((2000, 4, 1, 101, True, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
-    ((2000, 4, 2, 102, True, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
-    ((2000, 4, 3, 103, True, 0.5), (0.73, 1316, 6, [], '7fd937f2ebfdf009', '4e7b04bf8b9646b3')),
-    ((2000, 4, 1, 101, False, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
-    ((2000, 4, 2, 102, False, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
-    ((2000, 4, 3, 103, False, 0.5), (0.734, 1316, 6, ['balance_trim'], 'edceeadc440b33ed', 'a761a3985668f757')),
-    ((2000, 8, 1, 101, True, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
-    ((2000, 8, 2, 102, True, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
-    ((2000, 8, 3, 103, True, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
-    ((2000, 8, 1, 101, False, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
-    ((2000, 8, 2, 102, False, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
-    ((2000, 8, 3, 103, False, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
-    ((2000, 4, 7, 107, True, 0.05), (0.85, 118, 4, [], '717d7639f9eb7a25', '84fcf2e2d3003bb0')),
-    ((8, 3, 34, 35, True, 0.5), (0.5, 3, 2, ['component_exhausted', 'red_exhausted', 'fill_arbitrary'], '9d834baed97defca', '91d6cb2f2c0d4374')),
+    ((2000, 3, 1, 101, 0.5), (0.579, 1620, 9, [], '41b6554e9b84661c', 'd164d52cf9f4db06')),
+    ((2000, 3, 2, 102, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
+    ((2000, 3, 3, 103, 0.5), (0.585, 1627, 9, [], 'efc6f40f2975c407', '1b51a22d4fd478eb')),
+    ((2000, 3, 1, 101, 0.3), (0.6383333333333333, 855, 8, [], '1223da6e212e9314', 'a0b6c98202291c16')),
+    ((2000, 3, 2, 102, 0.3), (0.6483333333333333, 864, 8, [], 'ecb7ae9a4e462498', 'fb96bb130fd43af8')),
+    ((2000, 3, 3, 103, 0.3), (0.6683333333333333, 910, 8, [], 'd5d24f40019a5807', 'b2719d1f4391a29f')),
+    ((2000, 4, 1, 101, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
+    ((2000, 4, 2, 102, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
+    ((2000, 4, 3, 103, 0.5), (0.73, 1316, 6, [], '7fd937f2ebfdf009', '4e7b04bf8b9646b3')),
+    ((2000, 4, 1, 101, 0.3), (0.8166666666666667, 779, 6, ['balance_trim'], '5bbc588e986ab713', '3c1728f81c562c19')),
+    ((2000, 4, 2, 102, 0.3), (0.8183333333333334, 760, 6, ['balance_trim'], 'ca4200f0fd07044e', 'bbecc3a22507a526')),
+    ((2000, 4, 3, 103, 0.3), (0.8166666666666667, 765, 6, [], 'd6e56fe7d0676c3a', 'b5fc6f068501921f')),
+    ((2000, 8, 1, 101, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
+    ((2000, 8, 2, 102, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
+    ((2000, 8, 3, 103, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
+    ((2000, 8, 1, 101, 0.3), (0.8916666666666667, 676, 4, [], 'a70d174ea52a2e20', 'a69d4342401b7db0')),
+    ((2000, 8, 2, 102, 0.3), (0.8916666666666667, 672, 4, [], '7bade1e5e3fea489', 'ca202d7d071f39de')),
+    ((2000, 8, 3, 103, 0.3), (0.8933333333333333, 688, 4, [], 'ba790cdc5949c9af', 'b2463cceeda4257d')),
+    ((2000, 4, 7, 107, 0.05), (0.85, 118, 4, [], '717d7639f9eb7a25', '84fcf2e2d3003bb0')),
+    ((8, 3, 34, 35, 0.5), (0.5, 3, 2, ['component_exhausted', 'red_exhausted', 'fill_arbitrary'], '9d834baed97defca', '91d6cb2f2c0d4374')),
 ]
 
 
@@ -80,11 +81,8 @@ def _digest(values) -> str:
 
 @pytest.mark.parametrize("config, expected", GOLDEN)
 def test_golden_pin(config, expected):
-    n, d, seed2, seed3, promote_fully_paired, stop_fraction = config
-    st, trace2 = run_alg2(
-        n, d, seed=seed2, promote_fully_paired=promote_fully_paired,
-        stop_fraction=stop_fraction,
-    )
+    n, d, seed2, seed3, stop_fraction = config
+    st, trace2 = run_alg2(n, d, seed=seed2, stop_fraction=stop_fraction)
     alpha, trace3 = run_alg3(st, seed=seed3)
     st.check_invariants()
     got = (alpha, st.steps, st.phase_count, trace2.flags + trace3.flags,
@@ -148,14 +146,6 @@ def test_rollover_promotes_hit_whites():
     assert all(len(st.white_cls[i]) == 0 for i in range(st.d))
 
 
-def test_rollover_literal_variant_keeps_paired_whites():
-    st, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
-    paired_whites = len(st.white_cls[0])
-    st.rollover(promote_fully_paired=False)
-    assert len(st.white_cls[0]) == paired_whites
-    assert all(len(st.white_cls[i]) == 0 for i in range(1, st.d))
-
-
 def test_class_fractions_sum_to_one():
     st, _ = run_alg2(500, 4, seed=6, stop_after_steps=400)
     r, z = st.class_fractions()
@@ -165,19 +155,18 @@ def test_class_fractions_sum_to_one():
 def test_rollover_keeps_one_by_one_member_order():
     """The bulk promotion leaves every class list as moving the hit whites
     over one at a time, in list order, would."""
-    for promote_fully_paired in (True, False):
-        st, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
-        ref, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
-        moved = st.rollover(promote_fully_paired)
-        ref_moved = 0
-        for i in range(0 if promote_fully_paired else 1, ref.d):
-            for u in list(ref.white_cls[i]):
-                ref._move(u, 1, i)
-                ref_moved += 1
-        assert moved == ref_moved
-        assert _signature(st) == _signature(ref)
-        assert st.red_cls == ref.red_cls and st.pos == ref.pos
-        st.check_invariants()
+    st, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
+    ref, _ = run_alg2(800, 4, seed=5, stop_after_steps=350)
+    moved = st.rollover()
+    ref_moved = 0
+    for i in range(ref.d):
+        for u in list(ref.white_cls[i]):
+            ref._move(u, 1, i)
+            ref_moved += 1
+    assert moved == ref_moved
+    assert _signature(st) == _signature(ref)
+    assert st.red_cls == ref.red_cls and st.pos == ref.pos
+    st.check_invariants()
 
 
 def _wrong_pos(st):
@@ -334,14 +323,15 @@ def test_partial_target_fraction():
 
 
 @pytest.mark.parametrize("d", [4, 8])
-@pytest.mark.parametrize("promote_fully_paired", [True, False])
-def test_mid_round_stop_leaves_stage_two_work(d, promote_fully_paired):
+def test_mid_round_stop_leaves_stage_two_work(d):
     n = 20_000
-    st, trace = run_alg2(n, d, seed=16, promote_fully_paired=promote_fully_paired)
+    st, trace = run_alg2(n, d, seed=16)
     assert st.size_red == n // 2
     steps0 = st.steps
     run_alg3(st, seed=17)
     assert st.steps > steps0
+    # stage two turns a white red on its first hit, so no hit white is left
+    assert [len(st.white_cls[i]) for i in range(d)] == [0] * d
 
 
 def test_validation():
@@ -488,21 +478,17 @@ def test_stage_two_profiles_track_fluid_limit(d):
     assert np.abs(mean_z - ref.z).max() <= 0.01
 
 
-@pytest.mark.parametrize(
-    "d, promote_fully_paired", [(3, True), (5, True), (5, False)]
-)
-def test_built_partition_tracks_fluid_readout(d, promote_fully_paired):
+@pytest.mark.parametrize("d", [3, 5])
+def test_built_partition_tracks_fluid_readout(d):
     """The width of the partition the simulation builds stays within 0.01
-    of the fluid-limit readout seeded at eps = d/n, at degrees and in the
-    variant that criterion 8 leaves out. The open red classes alone
+    of the fluid-limit readout seeded at eps = d/n, at degrees that
+    criterion 8 leaves out. The open red classes alone
     (classes 1..d-1 over n/2) read 0.06 higher at d = 3 and 0.03 higher
     at d = 5, so this also tells the two readouts apart."""
     n = 20_000
-    ode = dem.run_dem(d, d / n, promote_fully_paired=promote_fully_paired)
+    ode = dem.run_dem(d, d / n)
     alphas = []
     for i in range(3):
-        st, _ = run_alg2(
-            n, d, seed=70 + i, promote_fully_paired=promote_fully_paired
-        )
+        st, _ = run_alg2(n, d, seed=70 + i)
         alphas.append(run_alg3(st, seed=80 + i)[0])
     assert abs(float(np.mean(alphas)) - ode.alpha_upper) <= 0.01

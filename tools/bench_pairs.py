@@ -7,8 +7,9 @@ Both sides run from fresh extractions, `git archive REV | tar -x` into a
 temporary directory each, so neither starts with a warm `__pycache__`: the
 parent from REV, the change from `git stash create` (the working tree's
 tracked files; an untracked file must be added first), or from HEAD when
-no tracked file has changed. First the tier-1 tests run once
-per side, for their wall time, pass and fail counts and slowest phases.
+no tracked file has changed. The output names the commit each side was
+extracted from. First the tier-1 tests run once per side, for their
+collected count, wall time, pass and fail counts and slowest phases.
 Then, for each workload of BENCHMARK.json, pair k = 1..PAIRS runs
 `perfbench/run.py --workload W --trace 0 --seconds <run_seconds> --seed k`
 once on each side, one process at a time, the parent first in odd pairs and
@@ -45,11 +46,14 @@ def extract(rev: str, dest: Path) -> None:
     subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
 
 
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, check=True,
+                          capture_output=True, text=True).stdout.strip()
+
+
 def snapshot() -> str:
     """A commit of the working tree's tracked files, or HEAD if they are clean."""
-    rev = subprocess.run(["git", "stash", "create"], cwd=ROOT, check=True,
-                         capture_output=True, text=True).stdout.strip()
-    return rev or "HEAD"
+    return git("stash", "create") or "HEAD"
 
 
 def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -63,6 +67,9 @@ def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
 def tier1(side: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")]))}
+    listing = subprocess.run(TIER1 + ["--collect-only"], cwd=side, env=env,
+                             capture_output=True, text=True).stdout
+    collected = re.findall(r"(\d+) tests? collected", listing)
     t0 = time.perf_counter()
     proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
@@ -74,7 +81,8 @@ def tier1(side: Path) -> dict:
 
     slowest = [[float(s), phase, test] for s, phase, test in
                re.findall(r"^(\d+\.\d+)s (setup|call|teardown)\s+(\S+)", out, re.M)]
-    return {"wall_s": round(wall, 1), "passed": count("passed"),
+    return {"collected": int(collected[-1]) if collected else 0,
+            "wall_s": round(wall, 1), "passed": count("passed"),
             "failed": count("failed"), "slowest": slowest}
 
 
@@ -138,7 +146,8 @@ def main(argv=None) -> int:
                  f"{seconds:g} end-to-end metrics, parent {args.parent} vs this "
                  "change, alternating which side runs first in each pair; pair k "
                  "uses --seed k. change_wins counts pairs where the change reads "
-                 "better. tier1 is the ROADMAP tier-1 command, each run alone."),
+                 "better. tier1 is the ROADMAP tier-1 command, each run alone. "
+                 "commits names the commit each side was extracted from."),
         "notes": args.note,
         "machine": machine(),
         "workloads": {},
@@ -149,9 +158,12 @@ def main(argv=None) -> int:
 
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         sides = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
-        for side, rev in zip(sides.values(), (args.parent, snapshot())):
+        revs = {"parent": args.parent, "change": snapshot()}
+        report["commits"] = {name: git("rev-parse", "--verify", rev + "^{commit}")
+                             for name, rev in revs.items()}
+        for name, side in sides.items():
             side.mkdir()
-            extract(rev, side)
+            extract(report["commits"][name], side)
         report["tier1"] = {name: tier1(root) for name, root in sides.items()}
         save()
         for workload in (w["name"] for w in spec["workloads"]):
