@@ -17,14 +17,17 @@ arbitrary vertices ("fill_arbitrary").
 Vertices are bucketed by (color, unpaired-point count). Sampling a uniform
 unpaired point over a vertex subset is class-weighted: one uniform integer
 below the subset's point total names a point, numbering the points class
-by class, O(d) per draw. One step, `PairingState.expose_step`, serves both
-stages: it draws the first point, then the second, each with the
-getrandbits loop `randrange` runs, and moves both vertices down a class
-in place. The exposed edges are one flat log, and the partition's
-boundary is read off it with numpy. A promotion moves each hit white
-class into its red class as one block. Every exposure is undoable, which
-the drift regression tests use to resample single steps from a frozen
-state.
+by class, O(d) per draw. An exposure draws the first point, then the
+second, each with the getrandbits loop `randrange` runs, and moves both
+vertices down a class in place; the two stages differ only in its two
+parameters (low_max, color_on_hit). One loop, `PairingState.expose_stage`,
+runs a stage's exposures over local copies of the state until the stage
+ends or a step bound (a snapshot, an early stop) is reached.
+`expose_step` is the same exposure one call at a time, undoable, which the
+drift regression tests use to resample single steps from a frozen state.
+The exposed edges are one flat log, and the partition's boundary is read
+off it with numpy. A promotion moves each hit white class into its red
+class as one block.
 """
 
 from __future__ import annotations
@@ -87,13 +90,15 @@ class PairingState:
 
     Each exposure draws its integers with a getrandbits rejection loop,
     the one `random.Random.randrange` runs, so a seed gives the stream
-    randrange would: first the first point (`expose_step`), then the
-    second. A draw t below a color's point total names the point t when
-    the points are numbered class 1..d, members in list order; the lookup
-    walks the classes from the top, where most of the points sit, and
-    meets the same point. A promotion (`rollover`) appends each hit white
-    class to the red class of the same index as one block, in list order,
-    where moving its members one at a time would put them.
+    randrange would: first the first point, then the second. A draw t
+    below a color's point total names the point t when the points are
+    numbered class 1..d, members in list order; the lookup walks the
+    classes from the top, where most of the points sit, and meets the same
+    point. `expose_stage` runs a stage's exposures in one loop;
+    `expose_step` and `undo_step` are the single-step form. A promotion
+    (`rollover`) appends each hit white class to the red class of the same
+    index as one block, in list order, where moving its members one at a
+    time would put them.
     """
 
     __slots__ = (
@@ -269,6 +274,128 @@ class PairingState:
                 )
         raise AssertionError("point totals out of sync")
 
+    def expose_stage(self, rng: random.Random, step_bound: int | None = None,
+                     *, low_max: int | None = None,
+                     color_on_hit: bool = False) -> str | None:
+        """Run a stage's exposures in one loop over local state: each one is
+        expose_step(rng, low_max=low_max, color_on_hit=color_on_hit), with
+        the same draws, class moves and counters, bit for bit.
+
+        Before each exposure the loop returns "target" once the stage's
+        half reaches n * stop_fraction, then "dry" once the first-point
+        pool is empty. After an exposure it returns None once steps reaches
+        step_bound, so it exposes at least once when both allow it. With
+        color_on_hit off (stage one) the half is every vertex the next
+        promotion would make red, all but the untouched whites; with it on
+        (stage two) it is the red set less red class 1, which goes to the
+        complement. The counters are written back once, on return.
+        """
+        n, d = self.n, self.d
+        free, is_red, pos = self.free, self.is_red, self.pos
+        red_cls, white_cls = self.red_cls, self.white_cls
+        reds, whites = self._red, self._white
+        low = d if low_max is None else low_max
+        first = self._low[low]
+        pool = sum(i * len(members) for i, members in first)
+        points_red, points_white = self.points_red, self.points_white
+        size_red = self.size_red
+        steps = steps0 = self.steps
+        bound = n * d if step_bound is None else step_bound
+        push = self.edges.append
+        getrandbits = rng.getrandbits
+        target = n * self.stop_fraction
+        if color_on_hit:
+            lift, out = 0, red_cls[1]
+        else:
+            # nothing turns red, so size_red + lift stays n
+            lift, out = n - size_red, white_cls[d]
+
+        while True:
+            if size_red + lift - len(out) >= target:
+                stop = "target"
+                break
+            if pool == 0:
+                stop = "dry"
+                break
+            # first point: u leaves red class i for red class i - 1
+            k = pool.bit_length()
+            t = getrandbits(k)
+            while t >= pool:
+                t = getrandbits(k)
+            end = pool
+            for i, members in first:
+                end -= i * len(members)
+                if t >= end:
+                    break
+            else:
+                raise AssertionError("point totals out of sync")
+            j = (t - end) // i
+            u = members[j]
+            last = members.pop()
+            if last != u:
+                members[j] = last
+                pos[last] = j
+            dest = red_cls[i - 1]
+            pos[u] = len(dest)
+            dest.append(u)
+            free[u] = i - 1
+            points_red -= 1
+            pool -= 1
+
+            # second point: v leaves class i of its color
+            total = points_red + points_white
+            k = total.bit_length()
+            t = getrandbits(k)
+            while t >= total:
+                t = getrandbits(k)
+            v_red = t < points_red
+            end = points_red if v_red else total
+            for i, members in reds if v_red else whites:
+                end -= i * len(members)
+                if t >= end:
+                    break
+            else:
+                raise AssertionError("point totals out of sync")
+            j = (t - end) // i
+            v = members[j]
+            last = members.pop()
+            if last != v:
+                members[j] = last
+                pos[last] = j
+            if v_red:
+                points_red -= 1
+                dest = red_cls[i - 1]
+                if i <= low:
+                    pool -= 1
+                elif i == low + 1:
+                    pool += low
+            elif color_on_hit:
+                is_red[v] = 1
+                points_white -= i
+                points_red += i - 1
+                size_red += 1
+                dest = red_cls[i - 1]
+                if i <= low + 1:
+                    pool += i - 1
+            else:
+                points_white -= 1
+                dest = white_cls[i - 1]
+            pos[v] = len(dest)
+            dest.append(v)
+            free[v] = i - 1
+            push(u)
+            push(v)
+            steps += 1
+            if steps >= bound:
+                stop = None
+                break
+
+        self.points_red, self.points_white = points_red, points_white
+        self.size_red = size_red
+        self.edge_count += steps - steps0
+        self.steps = steps
+        return stop
+
     def undo_step(self, undo) -> None:
         (u, u_red, u_free), (v, v_red, v_free) = undo
         self._move(v, v_red, v_free)
@@ -331,6 +458,23 @@ class PairingState:
         assert np.array_equal(degree, self.d - np.asarray(self.free))
 
 
+def _check_snapshot_every(snapshot_every: int) -> None:
+    if snapshot_every < 0:
+        raise ValueError(
+            f"snapshot_every must be at least 0, got {snapshot_every}"
+        )
+
+
+def _step_bound(steps: int, snapshot_every: int,
+                stop_after_steps: int | None = None) -> int | None:
+    """The step count at which a stage loop hands back: the next multiple
+    of snapshot_every (when set) or stop_after_steps, whichever is first."""
+    bounds = [] if stop_after_steps is None else [stop_after_steps]
+    if snapshot_every:
+        bounds.append(steps + snapshot_every - steps % snapshot_every)
+    return min(bounds, default=None)
+
+
 def run_alg2(
     n: int,
     d: int,
@@ -358,6 +502,7 @@ def run_alg2(
     if d < 3 or n <= d:
         raise ValueError("need d >= 3 and n > d")
     check_stop_fraction(n, stop_fraction)
+    _check_snapshot_every(snapshot_every)
     rng = random.Random(seed)
     st = PairingState(n, d)
     st.stop_fraction = stop_fraction
@@ -369,15 +514,14 @@ def run_alg2(
     st._move(x0, 1, 0)
 
     target = n * stop_fraction
-    # the promotion would make every vertex red but the untouched whites
-    untouched = st.white_cls[d]
 
     phase = 0
     if snapshot_every:
         trace.snapshot(st, phase)
     while True:
-        while st.points_red > 0 and n - len(untouched) < target:
-            st.expose_step(rng)
+        while st.expose_stage(
+            rng, _step_bound(st.steps, snapshot_every, stop_after_steps)
+        ) is None:
             if snapshot_every and st.steps % snapshot_every == 0:
                 trace.snapshot(st, phase)
             if stop_after_steps is not None and st.steps >= stop_after_steps:
@@ -401,15 +545,23 @@ def run_alg2(
     return st, trace
 
 
-def _boundary(st: PairingState, in_half: bytearray) -> np.ndarray:
-    """Mask of the vertices of the half (in_half[u] == 1) that have an
-    unpaired point or an exposed edge to a vertex outside the half."""
-    half = np.frombuffer(in_half, dtype=np.uint8).astype(bool)
+def _boundary_reader(st: PairingState):
+    """The boundary of a half of st as it stands: a function from in_half
+    (in_half[u] == 1 for the half's vertices) to the mask of the half's
+    vertices that have an unpaired point or an exposed edge to a vertex
+    outside it. The edge log and free counts become arrays once, however
+    many halves are read."""
     pairs = np.asarray(st.edges, dtype=np.int64).reshape(-1, 2)
-    cross = pairs[half[pairs[:, 0]] != half[pairs[:, 1]]]
-    mask = np.asarray(st.free) > 0
-    mask[cross.ravel()] = True
-    return mask & half
+    has_open = np.asarray(st.free) > 0
+
+    def boundary(in_half: bytearray) -> np.ndarray:
+        half = np.frombuffer(in_half, dtype=np.uint8).astype(bool)
+        cross = pairs[half[pairs[:, 0]] != half[pairs[:, 1]]]
+        mask = has_open.copy()
+        mask[cross.ravel()] = True
+        return mask & half
+
+    return boundary
 
 
 def run_alg3(
@@ -439,6 +591,7 @@ def run_alg3(
 
     Mutates state in place.
     """
+    _check_snapshot_every(snapshot_every)
     st = state
     n, d = st.n, st.d
     m = (d + 1) // 2
@@ -449,12 +602,13 @@ def run_alg3(
 
     if snapshot_every:
         trace.snapshot(st, phase)
-    while st.size_red - len(st.red_cls[1]) < target:
-        if st.expose_step(rng, low_max=m, color_on_hit=True) is None:
-            trace.flags.append("red_exhausted")
-            break
-        if snapshot_every and st.steps % snapshot_every == 0:
-            trace.snapshot(st, phase)
+    while (end := st.expose_stage(
+        rng, _step_bound(st.steps, snapshot_every), low_max=m,
+        color_on_hit=True,
+    )) is None:
+        trace.snapshot(st, phase)
+    if end == "dry":
+        trace.flags.append("red_exhausted")
 
     # move the class-1 red vertices across and rebalance to exactly
     # floor(target)
@@ -464,6 +618,7 @@ def run_alg3(
         in_half[u] = 0
     size_half = st.size_red - len(st.red_cls[1])
     forced: set = set()
+    boundary_of = _boundary_reader(st)
 
     if size_half < half_count:
         # only after "red_exhausted", when class 1 is empty
@@ -475,7 +630,7 @@ def run_alg3(
     elif size_half > half_count:
         trace.flags.append("balance_trim")
         surplus = size_half - half_count
-        exposed_boundary = np.flatnonzero(_boundary(st, in_half)).tolist()
+        exposed_boundary = np.flatnonzero(boundary_of(in_half)).tolist()
         rng.shuffle(exposed_boundary)
         drop = exposed_boundary[:surplus]
         if len(drop) < surplus:
@@ -488,7 +643,7 @@ def run_alg3(
         for u in drop:
             in_half[u] = 0
 
-    boundary = _boundary(st, in_half)
+    boundary = boundary_of(in_half)
     boundary[list(forced)] = True
     alpha = int(np.count_nonzero(boundary)) / target
     if snapshot_every:

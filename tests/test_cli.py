@@ -35,6 +35,7 @@ def test_invalid_parameters_exit_two(capsys):
                  simulate + ["--stop-fraction", "0.7"],
                  # n * stop_fraction under one vertex
                  simulate + ["--stop-fraction", "0.0005"],
+                 simulate + ["--snapshot-every", "-5"],
                  ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "1",
                   "--stop-fraction", "0.005"],
                  ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "2",

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from vbisect import dem
-from vbisect.pairing import PairingState, _boundary, run_alg2, run_alg3
+from vbisect.pairing import PairingState, _boundary_reader, run_alg2, run_alg3
 
 
 def _signature(st: PairingState):
@@ -192,6 +192,98 @@ def test_check_invariants_catches_corruption(corrupt):
         st.check_invariants()
 
 
+# -- stage loop ---------------------------------------------------------------
+
+
+def _exact_state(st: PairingState):
+    """Everything an exposure writes, in order: class lists, positions,
+    counters and the edge log."""
+    return (
+        list(st.free),
+        bytes(st.is_red),
+        list(st.pos),
+        [list(c) for c in st.red_cls],
+        [list(c) for c in st.white_cls],
+        st.points_red,
+        st.points_white,
+        st.size_red,
+        st.edge_count,
+        st.steps,
+        list(st.edges),
+    )
+
+
+def _stage_by_single_steps(st, rng, step_bound, low_max, color_on_hit):
+    """expose_stage written as repeated expose_step calls."""
+    target = st.n * st.stop_fraction
+    while True:
+        if color_on_hit:
+            half = st.size_red - len(st.red_cls[1])
+        else:
+            half = st.n - len(st.white_cls[st.d])
+        if half >= target:
+            return "target"
+        if st.expose_step(rng, low_max=low_max,
+                          color_on_hit=color_on_hit) is None:
+            return "dry"
+        if step_bound is not None and st.steps >= step_bound:
+            return None
+
+
+# (d, run_alg2 options, stage two, steps to the bound past the frozen state,
+# stop_fraction set on the state, expected stop)
+STAGE_CASES = [
+    case
+    for d in (3, 4, 8)
+    for case in (
+        # a stage-one round drains its red points
+        (d, dict(stop_after_steps=120), False, None, None, "dry"),
+        # the bound cuts the round
+        (d, dict(stop_after_steps=120), False, 20, None, None),
+        # a bound already reached still exposes once
+        (d, dict(stop_after_steps=120), False, 0, None, None),
+        # the last stage-one round stops on the target
+        (d, dict(stop_fraction=0.2, stop_after_steps=400), False, None, None,
+         "target"),
+        # stage two ends on balance
+        (d, {}, True, None, None, "target"),
+        (d, {}, True, 10, None, None),
+    )
+] + [
+    # an unreachable target: the low red pool runs dry
+    (d, {}, True, None, 1.0, "dry")
+    for d in (4, 8)
+]
+
+
+@pytest.mark.parametrize(
+    "d, alg2_options, stage_two, bound_after, stop_fraction, expected",
+    STAGE_CASES,
+)
+def test_stage_loop_matches_single_steps(
+    d, alg2_options, stage_two, bound_after, stop_fraction, expected
+):
+    """The stage loop leaves the state, the random stream and the stop
+    reason exactly as repeated expose_step calls do."""
+    low_max = (d + 1) // 2 if stage_two else None
+    runs = []
+    for _ in range(2):
+        st, _ = run_alg2(2000, d, seed=d, **alg2_options)
+        if stop_fraction is not None:
+            st.stop_fraction = stop_fraction
+        runs.append((st, random.Random(40 + d)))
+    (st, rng), (ref, ref_rng) = runs
+    steps0 = st.steps
+    bound = None if bound_after is None else steps0 + bound_after
+    got = st.expose_stage(rng, bound, low_max=low_max, color_on_hit=stage_two)
+    want = _stage_by_single_steps(ref, ref_rng, bound, low_max, stage_two)
+    assert got == want == expected
+    assert st.steps > steps0
+    assert _exact_state(st) == _exact_state(ref)
+    assert rng.getstate() == ref_rng.getstate()
+    st.check_invariants()
+
+
 # -- draws ------------------------------------------------------------------
 
 
@@ -286,7 +378,7 @@ def test_boundary_mask_matches_per_vertex_readout(d, half_n, seed, share):
     forced = {u for u in range(n) if in_half[u] and rng.random() < 0.2}
 
     # the balance_trim candidates: the ascending list, nothing forced
-    mask = _boundary(st, in_half)
+    mask = _boundary_reader(st)(in_half)
     assert np.flatnonzero(mask).tolist() == _oracle_boundary(st, in_half, set())
     # the count alpha is read from, with forced vertices
     mask[list(forced)] = True
@@ -347,6 +439,11 @@ def test_validation():
     # a target half under one vertex
     with pytest.raises(ValueError, match="at least 1"):
         run_alg2(200, 4, seed=0, stop_fraction=0.004)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run_alg2(1000, 4, seed=0, snapshot_every=-5)
+    st, _ = run_alg2(1000, 4, seed=0)
+    with pytest.raises(ValueError, match="snapshot_every"):
+        run_alg3(st, seed=0, snapshot_every=-5)
 
 
 def test_snapshot_rows_and_csv(tmp_path):

@@ -17,7 +17,9 @@ the change first in even ones. BENCH_<N>.json at the repository root gets,
 per side, the medians and quartiles of every end-to-end metric and the
 operation counts; per metric, `change_wins` counts the pairs in which the
 change reads better. Each --note is copied into its "notes" list. The file
-is rewritten after every pair, so a cut run keeps what it measured.
+is rewritten after every pair, so a cut run keeps what it measured. A
+tier-1 or perfbench subprocess that exits non-zero has its exit code and
+the tail of its stderr printed; a failed perfbench run stops the script.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ ROOT = Path(__file__).resolve().parent.parent
 PAIRS = 10  # alternating pairs per workload, seeds 1..PAIRS
 TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
          "-p", "no:cacheprovider", "--durations=3"]
+STDERR_TAIL = 20  # lines of a failed subprocess's stderr to print
 
 
 def extract(rev: str, dest: Path) -> None:
@@ -56,22 +59,34 @@ def snapshot() -> str:
     return git("stash", "create") or "HEAD"
 
 
+def run(cmd: list[str], side: Path, env=None) -> subprocess.CompletedProcess:
+    """Run cmd in a side's extraction; on a non-zero exit, print the exit
+    code and the last STDERR_TAIL lines of its stderr."""
+    proc = subprocess.run(cmd, cwd=side, env=env, capture_output=True, text=True)
+    if proc.returncode:
+        tail = "\n".join(proc.stderr.strip().splitlines()[-STDERR_TAIL:])
+        print(f"{side.name}: {' '.join(cmd[1:])} exited {proc.returncode}"
+              + (f"; stderr ends:\n{tail}" if tail else ", nothing on stderr"),
+              file=sys.stderr, flush=True)
+    return proc
+
+
 def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
-        cwd=side, capture_output=True, text=True, check=True)
+    proc = run([sys.executable, "perfbench/run.py", "--workload", workload,
+                "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+               side)
+    if proc.returncode:
+        raise SystemExit(f"perfbench/run.py failed on the {side.name} side")
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
 def tier1(side: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")]))}
-    listing = subprocess.run(TIER1 + ["--collect-only"], cwd=side, env=env,
-                             capture_output=True, text=True).stdout
+    listing = run(TIER1 + ["--collect-only"], side, env).stdout
     collected = re.findall(r"(\d+) tests? collected", listing)
     t0 = time.perf_counter()
-    proc = subprocess.run(TIER1, cwd=side, env=env, capture_output=True, text=True)
+    proc = run(TIER1, side, env)  # exit code 1 when a test fails
     wall = time.perf_counter() - t0
     out = proc.stdout
 
