@@ -278,7 +278,7 @@ def cmd_balls(d: int, n_list, seed: int = 0, *, strategy: str = "rematch", out=N
         g = gen_regular(n, d, seed=_child_seed(seed, 5, i), strategy=strategy)
         rng = np.random.default_rng(_child_seed(seed, 6, i))
         x0 = int(rng.integers(n))
-        rows.append((n, *critical_balls(ball_sizes(g, x0), n / 2)[1:]))
+        rows.append((n, *critical_balls(ball_sizes(g, x0, n / 2), n / 2)[1:]))
     if out is not None:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)

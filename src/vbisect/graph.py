@@ -113,8 +113,16 @@ def _pairing_pass(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     return stubs.reshape(-1, 2)
 
 
+def _ordered(pairs: np.ndarray) -> np.ndarray:
+    """Each pair of an (m, 2) array as (min, max), in a new array."""
+    out = np.empty_like(pairs)
+    np.minimum(pairs[:, 0], pairs[:, 1], out=out[:, 0])
+    np.maximum(pairs[:, 0], pairs[:, 1], out=out[:, 1])
+    return out
+
+
 def _pairs_simple(pairs: np.ndarray, n: int) -> bool:
-    u, v = np.sort(pairs, axis=1).T
+    u, v = _ordered(pairs).T
     return not np.any(u == v) and np.unique(u * n + v).size == u.size
 
 
@@ -132,14 +140,16 @@ def _try_rematch(n: int, d: int, rng: np.random.Generator):
 
     The first pair of each key min * n + max is found as np.unique's
     return_index finds it: sort the keys stably (`_stable_order`, bound
-    n * n) and mark the first of each run of equal keys.
+    n * n) and mark the first of each run of equal keys. The new keys are
+    sorted and none is kept already, so one stable sort of the two sorted
+    runs merges them into the kept keys.
     """
     kept = []
     edges = np.empty(0, dtype=np.int64)  # sorted keys of the kept pairs
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)
     while stubs.size:
         rng.shuffle(stubs)
-        pairs = np.sort(stubs.reshape(-1, 2), axis=1)
+        pairs = _ordered(stubs.reshape(-1, 2))
         # min * n + max: one key per unordered vertex pair
         keys = pairs[:, 0] * n + pairs[:, 1]
         order = _stable_order(keys, n * n)
@@ -151,9 +161,9 @@ def _try_rematch(n: int, d: int, rng: np.random.Generator):
         new = (pairs[first, 0] != pairs[first, 1]) & ~_contains(edges, keys)
         keep = np.zeros(len(pairs), dtype=bool)
         keep[first[new]] = True
-        kept.append(pairs[keep])
-        edges = np.insert(edges, np.searchsorted(edges, keys[new]), keys[new])
-        stubs = pairs[~keep].ravel()
+        kept.append(pairs.compress(keep, axis=0))
+        edges = np.sort(np.concatenate([edges, keys[new]]), kind="stable")
+        stubs = pairs.compress(~keep, axis=0).ravel()
         # a dead end: every two distinct leftover nodes are already an edge
         nodes = np.unique(stubs)
         a, b = np.triu_indices(nodes.size, 1)
@@ -207,33 +217,42 @@ def gen_regular(
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def ball_layers(g: RegularGraph, x0: int) -> list[np.ndarray]:
+def ball_layers(g: RegularGraph, x0: int, cap: float | None = None) -> list[np.ndarray]:
     """BFS layers from x0: [ [x0], N(x0), ... ] until the component of x0
-    is exhausted; vertices outside that component are absent.
+    is exhausted; vertices outside that component are absent. With a cap,
+    the BFS stops after the first layer whose ball holds more than cap
+    vertices, the last layer `critical_balls` reads at target cap; a
+    component that never crosses the cap is still exhausted.
 
     Each layer is an int64 array in strictly ascending order, and no vertex
     is in two layers. The greedy seeds its buckets in this order, so every
     greedy result depends on it.
     """
+    if not 0 <= x0 < g.n:
+        raise ValueError(f"x0 must be a vertex in [0, {g.n}), got {x0}")
     visited = np.zeros(g.n, dtype=bool)
     fresh = np.zeros(g.n, dtype=bool)  # the next layer; cleared after each
     visited[x0] = True
     layers = [np.array([x0], dtype=np.int64)]
-    while True:
+    size = 1
+    while cap is None or size <= cap:
         cand = g.adjacency[layers[-1]].ravel()
         fresh[cand[~visited[cand]]] = True
         nxt = np.flatnonzero(fresh).astype(np.int64, copy=False)
         if nxt.size == 0:
-            return layers
+            break
         fresh[nxt] = False
         visited[nxt] = True
         layers.append(nxt)
+        size += nxt.size
+    return layers
 
 
-def ball_sizes(g: RegularGraph, x0: int) -> np.ndarray:
+def ball_sizes(g: RegularGraph, x0: int, cap: float | None = None) -> np.ndarray:
     """Cumulative ball sizes |B(x0, r)| for r = 0, 1, ... up to the
-    eccentricity of x0."""
-    return np.cumsum([len(layer) for layer in ball_layers(g, x0)])
+    eccentricity of x0, or with a cap up to the first ball over cap
+    (`ball_layers`)."""
+    return np.cumsum([len(layer) for layer in ball_layers(g, x0, cap)])
 
 
 def critical_balls(sizes: np.ndarray, target: float) -> tuple[int, int, int, int]:

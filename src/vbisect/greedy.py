@@ -8,9 +8,13 @@ set reaches the target size. A bucket queue keyed by uncovered-neighbor
 count keeps the whole run at O(d*n). Bucket 0 is not kept: a red vertex
 with no uncovered neighbor is never drawn or moved again.
 
-A run costs its BFS ball and its phase-two loop. The loop reads the
-graph's cached `rows`, so the neighbor lists are built once per graph, not
-once per run; `RegularGraph.drop_rows` frees them once a graph's runs are done.
+A run costs its BFS ball and its phase-two loop. The BFS stops at the
+critical ball, the first ball over the target, since no later layer is
+read. The loop reads the graph's cached `rows`, so the neighbor lists are
+built once per graph, not once per run; `RegularGraph.drop_rows` frees them
+once a graph's runs are done. The width is read off the buckets, whose
+members are exactly the red vertices with an uncovered neighbor; only the
+exhaustion fallback, whose random fill bypasses the buckets, recounts it.
 Each phase-two step makes the two draws `random.Random.choice` would, the
 bucket vertex and then one of its uncovered neighbors, with the getrandbits
 rejection loop `choice` runs, written out in the loop: the neighbor is the
@@ -62,17 +66,16 @@ def run_alg1(
         raise ValueError("r0_offset must be 1 or 2")
     check_stop_fraction(g.n, cfg.stop_fraction)
     n, d = g.n, g.d
-    if cfg.x0 is not None and not 0 <= cfg.x0 < n:
-        raise ValueError(f"x0 must be a vertex in [0, {n}), got {cfg.x0}")
     rng = random.Random(cfg.seed)
     x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)
 
-    target = int(n * cfg.stop_fraction)
-    layers = ball_layers(g, x0)
-    # in a component no larger than the target, the fallback fills the rest
-    r_crit, b0, b1, b2 = critical_balls(
-        np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction
-    )
+    limit = n * cfg.stop_fraction
+    target = int(limit)
+    # the BFS ends at the critical ball, and rejects an x0 outside the
+    # graph; in a component no larger than the target, the fallback fills
+    # the rest
+    layers = ball_layers(g, x0, limit)
+    r_crit, b0, b1, b2 = critical_balls(np.cumsum([len(layer) for layer in layers]), limit)
     r0 = max(r_crit - cfg.r0_offset, 0)  # at least x0 itself
     ball = np.concatenate(layers[: r0 + 1])
     red = np.zeros(n, dtype=bool)
@@ -155,13 +158,16 @@ def run_alg1(
             b.append(w)
     steps = size_red - seeded
 
-    if fallback and size_red < target:
-        uncolored = [u for u in range(n) if not color[u]]
-        for u in rng.sample(uncolored, target - size_red):
-            color[u] = 1
-        size_red = target
-
-    mask = np.frombuffer(bytes(color), dtype=np.uint8).astype(bool)
+    mask = np.frombuffer(color, dtype=np.uint8).astype(bool)
+    if fallback:
+        # the random fill bypasses the buckets, so the width is recounted
+        uncolored = np.flatnonzero(~mask).tolist()
+        mask[rng.sample(uncolored, target - size_red)] = True
+        bis = bisection_of(g, mask)
+    else:
+        # the red vertices with an uncovered neighbor are buckets[1..d]
+        width = sum(map(len, drawn))
+        bis = Bisection(red=mask, width=width, alpha=alpha_of(width, n))
     trace = GreedyTrace(
         x0=x0,
         r_crit=r_crit,
@@ -171,4 +177,4 @@ def run_alg1(
         phase2_steps=steps,
         exhaustion_fallback=fallback,
     )
-    return bisection_of(g, mask), trace
+    return bis, trace

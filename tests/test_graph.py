@@ -4,6 +4,7 @@ The named-graph answers here were computed by hand and by an independent
 subset-enumeration script before being frozen.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -24,6 +25,7 @@ from vbisect.graph import (
     bisection_of,
     brute_force_bw,
     brute_force_vbw,
+    critical_balls,
     gen_regular,
     load_edge_list,
     save_edge_list,
@@ -181,6 +183,39 @@ def test_ball_layers_match_a_set_bfs(d, half_n, seed, x0_share):
     _check_ball_layers(gen_regular(n, d, seed=seed), int(x0_share * n))
 
 
+@settings(max_examples=40, deadline=None)
+@given(d=st.sampled_from([3, 4, 10]), half_n=st.integers(6, 150), seed=st.integers(0, 10**6),
+       x0_share=st.floats(0.0, 1.0, exclude_max=True), cap_share=st.floats(0.0, 1.2))
+def test_capped_ball_layers_end_at_the_first_crossing(d, half_n, seed, x0_share, cap_share):
+    n = 2 * half_n
+    g = gen_regular(n, d, seed=seed)
+    x0, cap = int(x0_share * n), cap_share * n
+    full = ball_layers(g, x0)
+    sizes = np.cumsum([len(layer) for layer in full])
+    over = np.flatnonzero(sizes > cap)
+    end = int(over[0]) + 1 if over.size else len(full)  # the whole list when none crosses
+    capped = ball_layers(g, x0, cap)
+    assert [layer.tolist() for layer in capped] == [layer.tolist() for layer in full[:end]]
+    assert np.array_equal(ball_sizes(g, x0, cap), sizes[:end])
+    assert critical_balls(ball_sizes(g, x0, cap), cap) == critical_balls(sizes, cap)
+
+
+def test_capped_ball_sizes():
+    # a component no larger than the cap is exhausted
+    assert ball_sizes(two_k4s(), 5, 4).tolist() == [1, 4]
+    assert ball_sizes(two_k4s(), 5, 3.5).tolist() == [1, 4]
+    assert ball_sizes(two_k4s(), 5, 0.5).tolist() == [1]
+    assert ball_sizes(cube(), 0, 4).tolist() == [1, 4, 7]
+
+
+def test_ball_rejects_a_start_outside_the_graph():
+    g = cube()
+    for x0 in (-1, 8, 100):
+        for call in (ball_layers, ball_sizes):
+            with pytest.raises(ValueError, match=r"x0 must be a vertex in \[0, 8\)"):
+                call(g, x0)
+
+
 def test_ball_layers_on_a_multigraph_and_two_components():
     g = gen_regular(10, 4, seed=0, simple=False)
     rows = g.adjacency.tolist()
@@ -306,6 +341,17 @@ def test_rematch_matches_the_pair_loop(d, half_n, seed):
     pairs = _try_rematch(n, d, np.random.default_rng(seed))
     want = _rematch_loop(n, d, np.random.default_rng(seed))
     assert (pairs is None and want is None) or pairs.tolist() == [list(p) for p in want]
+
+
+# sha256 prefix of gen_regular(5000, 10, seed=7).adjacency. The draw takes
+# three rematch attempts, the last of them six passes, so the pass that
+# merges new keys into the kept ones runs on a large table many times.
+REMATCH_PIN = "ba34558e48dfeae0"
+
+
+def test_many_pass_rematch_reproduces_the_pin():
+    g = gen_regular(5000, 10, seed=7)
+    assert hashlib.sha256(g.adjacency.tobytes()).hexdigest()[:16] == REMATCH_PIN
 
 
 @settings(max_examples=20, deadline=None)

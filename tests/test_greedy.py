@@ -8,7 +8,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vbisect.graph import RegularGraph, ball_layers, brute_force_vbw, critical_balls, gen_regular
+from vbisect.graph import (RegularGraph, ball_layers, brute_force_vbw, critical_balls,
+                           gen_regular, vertex_width)
 from vbisect.greedy import GreedyConfig, GreedyTrace, alpha_of, run_alg1
 
 from test_graph import complete_graph, two_k4s
@@ -255,6 +256,13 @@ def test_phase_two_draws_what_choice_draws(d, half_n, graph_seed, seed, offset, 
     mask, want = _alg1_with_choice(g, cfg)
     assert trace == want
     assert np.array_equal(bis.red, mask)
+    _check_width(g, bis)
+
+
+def _check_width(g, bis):
+    """The width run_alg1 reads off its buckets is the recounted width."""
+    assert bis.width == vertex_width(g, bis.red)
+    assert bis.alpha == bis.width / (g.n / 2)
 
 
 def test_phase_two_draws_what_choice_draws_on_three_k4s():
@@ -268,6 +276,7 @@ def test_phase_two_draws_what_choice_draws_on_three_k4s():
                 mask, want = _alg1_with_choice(g, cfg)
                 assert trace == want
                 assert np.array_equal(bis.red, mask)
+                _check_width(g, bis)
                 fallbacks += trace.exhaustion_fallback
     assert fallbacks == 72
 

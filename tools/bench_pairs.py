@@ -16,8 +16,11 @@ once on each side, one process at a time, the parent first in odd pairs and
 the change first in even ones. BENCH_<N>.json at the repository root gets,
 per side, the medians and quartiles of every end-to-end metric and the
 operation counts; per metric, `change_wins` counts the pairs in which the
-change reads better. Each --note is copied into its "notes" list. The file
-is rewritten after every pair, so a cut run keeps what it measured. A
+change reads better, and `change_ratio` is the median over pairs of
+change / parent. Host drift moves both runs of a pair together, so the
+paired ratio is the figure to quote for a gain. Each --note is copied into
+its "notes" list. The file is rewritten after every pair, so a cut run keeps
+what it measured. A
 tier-1 or perfbench subprocess that exits non-zero has its exit code and
 the tail of its stderr printed; a failed perfbench run stops the script.
 """
@@ -131,6 +134,13 @@ def wins(parent: list[dict], change: list[dict], spec: dict) -> dict:
     return out
 
 
+def ratios(parent: list[dict], change: list[dict], spec: dict) -> dict:
+    """Per metric, the median over pairs of change / parent."""
+    return {m["name"]: round(statistics.median(
+        c["metrics"][m["name"]]["value"] / p["metrics"][m["name"]]["value"]
+        for p, c in zip(parent, change)), 4) for m in spec["end_to_end"]}
+
+
 def machine() -> dict:
     import numpy
 
@@ -161,7 +171,8 @@ def main(argv=None) -> int:
                  f"{seconds:g} end-to-end metrics, parent {args.parent} vs this "
                  "change, alternating which side runs first in each pair; pair k "
                  "uses --seed k. change_wins counts pairs where the change reads "
-                 "better. tier1 is the ROADMAP tier-1 command, each run alone. "
+                 "better; change_ratio is the median over pairs of change / "
+                 "parent. tier1 is the ROADMAP tier-1 command, each run alone. "
                  "commits names the commit each side was extracted from."),
         "notes": args.note,
         "machine": machine(),
@@ -192,6 +203,7 @@ def main(argv=None) -> int:
                     "seeds": list(range(1, k + 1)),
                     **{name: summarize(runs[name], spec) for name in sides},
                     "change_wins": wins(runs["parent"], runs["change"], spec),
+                    "change_ratio": ratios(runs["parent"], runs["change"], spec),
                 }
                 save()
                 print(f"{workload} pair {k}: " + json.dumps(
