@@ -16,9 +16,11 @@ balanced partition the simulation builds (the red set less class 1), read
 off in the fluid limit by a backward pass along the path (see the readout
 section).
 
-The process is defined once: `_leg_layout` gives each leg's point
+The process is defined once: `_leg_layout` keys a leg by the simulation's
+exposure parameters (low_max, color_on_hit), (d, False) in stage one and
+(`pairing.stage_two_low_max(d)`, True) in stage two, and gives its point
 counts, moves and first-point pool, from which the right-hand sides and
-the readout's backward pass are built, and `_transition` maps each class
+the readout's backward pass are built. `_transition` maps each class
 through a promotion, forward for the run and backward for the readout.
 The right-hand sides are conservative: component sums vanish up to
 rounding. The promotions only move mass between classes; `run_dem`
@@ -34,6 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .integrate import Event, IntResult, solve_adaptive, solve_fixed
+from .pairing import stage_two_low_max
 
 DELTA_STOP = 1e-9  # point-count guard, in fractions of n
 EPS_NEG = 1e-12  # negativity tolerance
@@ -115,36 +118,31 @@ class DemRunResult:
 # -- right-hand sides ------------------------------------------------------
 
 
-def _leg_layout(d: int, kind: str):
+def _leg_layout(d: int, low_max: int, color_on_hit: bool):
     """(unpaired points, index of the state one point down, mask of the
     states that give first points) over [r_0..r_{d-1}, z_0..z_d] for a leg
-    of kind "one" (a stage-one round), "two" (stage two) or "fallback"
-    (stage two drawn from every red class). No route runs "fallback":
-    stage two ends on balance in the fluid limit and in the simulation
-    alike, before the low classes run dry.
-
-    The kinds differ as the simulation's `expose_step(low_max,
-    color_on_hit)` calls do. A hit white z_j keeps its colour (to z_{j-1})
-    in a round and turns red (to r_{j-1}) in stage two. First points come
-    from red classes 1..ceil(d/2) in "two", the low classes, and from
-    every red class 1..d-1 otherwise."""
+    of the simulation's `expose_step(low_max, color_on_hit)`, with the pair
+    its stages use: (d, False) in a stage-one round and
+    (`stage_two_low_max(d)`, True) in stage two. First points come from red
+    classes 1..min(low_max, d-1), as a red vertex never has d. A hit white
+    z_j turns red (to r_{j-1}) when color_on_hit is set and keeps its colour
+    (to z_{j-1}) otherwise."""
     pts = np.concatenate([np.arange(d), np.arange(d + 1)]).astype(float)
-    hit = np.arange(d, 2 * d) if kind == "one" else np.arange(d)
+    hit = np.arange(d) if color_on_hit else np.arange(d, 2 * d)
     down = np.concatenate([[0], np.arange(d - 1), [d], hit])
-    low_max = (d + 1) // 2 if kind == "two" else d - 1
-    first = (np.arange(2 * d + 1) <= low_max).astype(float)
+    first = (np.arange(2 * d + 1) <= min(low_max, d - 1)).astype(float)
     return pts, down, first
 
 
-def _leg_rhs(d: int, kind: str):
-    """Derivative of a leg's state vector under `_leg_layout(d, kind)`.
+def _leg_rhs(d: int, low_max: int, color_on_hit: bool):
+    """Derivative of a leg's state vector under `_leg_layout`.
 
     Each exposure pairs a first point, uniform over the first-point pool,
     with a second point, uniform over all unpaired points, so each state
     loses points at its combined per-point rate and that mass moves to the
     state one point down. The component sum vanishes up to rounding.
     """
-    pts, down, first = _leg_layout(d, kind)
+    pts, down, first = _leg_layout(d, low_max, color_on_hit)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         w = pts * y
@@ -159,7 +157,7 @@ def rhs_phase1(d: int):
     """Stage-one derivative of [r_0..r_{d-1}, z_0..z_d]: first points are
     red, hit whites keep their colour. `run_dem` never integrates it:
     `ExactRound` is its exact solution, and the tests compare the two."""
-    return _leg_rhs(d, "one")
+    return _leg_rhs(d, d, False)
 
 
 def rhs_phase2(d: int):
@@ -167,7 +165,7 @@ def rhs_phase2(d: int):
     from the low red classes 1..ceil(d/2), second points from every class,
     and a hit white turns red, so the untouched pool z_d drains into
     r_{d-1} and z_0..z_{d-1} stay empty."""
-    return _leg_rhs(d, "two")
+    return _leg_rhs(d, stage_two_low_max(d), True)
 
 
 def rhs_phase2_fallback(d: int):
@@ -176,7 +174,7 @@ def rhs_phase2_fallback(d: int):
     the low classes run dry (see `run_dem`), and the simulation's stage two
     ends on balance too. It stays for the conservation tests and for the
     benchmark's tracer, which binds its name."""
-    return _leg_rhs(d, "fallback")
+    return _leg_rhs(d, d, True)
 
 
 # -- the exact stage-one round ---------------------------------------------
@@ -362,24 +360,6 @@ READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
 
 
-@dataclass
-class Leg:
-    """One leg of a run as the readout needs it. kind names the right-hand
-    side it follows, as in `_leg_layout`: a run has one "one" leg
-    (`rhs_phase1`) per stage-one round, then at most one "two" leg
-    (`rhs_phase2`). The stage-two leg carries its path: at maps a time in
-    [0, span] to the state vector there, [r_0..r_{d-1}, z_0..z_d], and the
-    readout integrates the backward equations along it. A round carries
-    its `ExactRound` and the u it stops at, and pulls back exactly
-    (`ExactRound.pull_back`)."""
-
-    kind: str
-    span: float
-    at: Callable[[float], np.ndarray] | None = None
-    round: ExactRound | None = None
-    u: float = 0.0
-
-
 def _path_interpolant(t: np.ndarray, y: np.ndarray):
     """Cubic Hermite interpolant through the sampled path, with slopes
     from second-order differences."""
@@ -400,17 +380,21 @@ def _path_interpolant(t: np.ndarray, y: np.ndarray):
     return at
 
 
-def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
-    """[h, k] at the start of a leg from [h, k] at its end, by solving the
-    backward equations along leg.at; returns the solver status too.
-    `pull_back` runs it on the stage-two leg; rounds pull back exactly."""
-    pts, down, first = _leg_layout(d, leg.kind)
+def _pull_back_path(d: int, low_max: int, color_on_hit: bool, span: float,
+                    at: Callable[[float], np.ndarray],
+                    x: np.ndarray) -> tuple[np.ndarray, str]:
+    """[h, k] at the start of a leg of `_leg_layout(d, low_max,
+    color_on_hit)` from [h, k] at its end, by solving the backward
+    equations along its path: at maps a time in [0, span] to the state
+    vector there. Returns the solver status too. `pull_back` runs it on
+    the stage-two path; rounds pull back exactly."""
+    pts, down, first = _leg_layout(d, low_max, color_on_hit)
     size = pts.size
 
     def f(s: float, x: np.ndarray) -> np.ndarray:  # s runs backward from span
         # the interpolant may dip below 0 where a class runs dry; the
         # balance event ends stage two before the low pool does
-        w = pts * np.maximum(leg.at(leg.span - s), 0.0)
+        w = pts * np.maximum(at(span - s), 0.0)
         p_all = max(float(w.sum()), DELTA_STOP)
         p_first = max(float(w @ first), DELTA_STOP)
         h, k = x[:size], x[size:]
@@ -423,45 +407,38 @@ def _pull_back_leg(d: int, leg: Leg, x: np.ndarray) -> tuple[np.ndarray, str]:
         dk = a * (h1 * k_dn - k) + b * (h2 * k_dn - k)
         return np.concatenate([dh, dk])
 
-    out = solve_adaptive(f, 0.0, x, leg.span, (), rtol=READOUT_RTOL, atol=READOUT_ATOL)
+    out = solve_adaptive(f, 0.0, x, span, (), rtol=READOUT_RTOL, atol=READOUT_ATOL)
     return out.y, out.status
 
 
-def _relabel(x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """[h, k] before a transition from [h, k] after it: the map m of
-    `_transition` gathered backward."""
-    return x[np.concatenate([m, m + m.size])]
-
-
-def pull_back(d: int, legs: list[Leg], x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Carry [h, k] from the end of a run back to its seed through the legs
-    of the run and the promotion that ends each round (the last one is the
-    hand-off): rounds exactly, the stage-two leg by a backward solve;
-    returns it with the flags of a backward solve that did not finish."""
-    if not legs or legs[0].kind != "one":
-        raise ValueError("a run starts with a stage-one leg")
-    m = _transition(d)
+def pull_back(d: int, rounds: list, path, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Carry [h, k] from the end of a run back to its seed: along the
+    stage-two path (span, at), if there is one, by a backward solve, then
+    through each stage-one round, given as (ExactRound, the u it stops at),
+    and the promotion that ends it (the last one is the hand-off), exactly.
+    Returns it with the flags of a backward solve that did not finish."""
     flags = []
-    for leg in reversed(legs):
-        if leg.kind == "one":
-            x = leg.round.pull_back(leg.u, _relabel(x, m))
-            continue
-        x, status = _pull_back_leg(d, leg, x)
+    if path is not None:
+        x, status = _pull_back_path(d, stage_two_low_max(d), True, *path, x)
         if status != "t_end":
             flags.append(f"readout_{status}")
+    m = _transition(d)
+    before = np.concatenate([m, m + m.size])  # [h, k] gathered backward
+    for rnd, u in reversed(rounds):
+        x = rnd.pull_back(u, x[before])
     return x, flags
 
 
-def interior_mass(d: int, eps: float, legs: list[Leg]) -> tuple[float, list]:
+def interior_mass(d: int, eps: float, rounds: list, path) -> tuple[float, list]:
     """Fluid limit of the interior of the balanced half, as a fraction of
-    n, for the run seeded at eps whose legs are given; returns it with
-    the flags of `pull_back`."""
+    n, for the run seeded at eps with these rounds and stage-two path (see
+    `pull_back`); returns it with the flags of `pull_back`."""
     h = np.zeros(2 * d + 1)
     h[:d] = 1.0  # the half: every red class but class 1, and no white
     h[1] = 0.0
     k = np.zeros(2 * d + 1)
     k[0] = 1.0
-    x, flags = pull_back(d, legs, np.concatenate([h, k]))
+    x, flags = pull_back(d, rounds, path, np.concatenate([h, k]))
     h, k = x[: 2 * d + 1], x[2 * d + 1 :]
     seed = init_state(d, eps)
     # the seed tree: roots (red 0) with d leaf neighbours, leaves (red d-1)
@@ -553,13 +530,13 @@ def run_dem(
     tight tolerance; mode "fixed" uses classical RK4 on a uniform grid of
     steps / FIXED_LEG_SHARE steps over a span sized from the point-pool
     drain. alpha_upper is the boundary of the balanced half over
-    stop_fraction, 1 - interior_mass / stop_fraction, from the paths of
-    all legs. A run that does not balance reads off at the state where it
-    stopped and is flagged "no_balance": stage one capped at MAX_ROUNDS
-    ("round_cap", and no stage two), or a stage-two leg that ends on
-    anything but balance ("stage2_<event or solver status>"). Raises
-    RuntimeError if a promotion changes the total mass by more than
-    CLAMP_TOL.
+    stop_fraction, 1 - interior_mass / stop_fraction, read back along the
+    stage-two path and through the rounds. A run that does not balance
+    reads off at the state where it stopped and is flagged "no_balance":
+    stage one capped at MAX_ROUNDS ("round_cap", and no stage two), or a
+    stage-two leg that ends on anything but balance ("stage2_<event or
+    solver status>"). Raises RuntimeError if a promotion changes the total
+    mass by more than CLAMP_TOL.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -572,14 +549,15 @@ def run_dem(
     res = DemRunResult(
         d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
     )
-    legs: list[Leg] = []  # one per round, then the stage-two leg
+    rounds = []  # (ExactRound, the u it stops at)
+    path = None  # stage two's (span, interpolant)
     state = init_state(d, eps)
     while True:
         rnd = ExactRound(state)
         u = rnd.stop_u(stop_fraction)
         u = rnd.u_end if u is None else u
         end = rnd.state(u)
-        legs.append(Leg("one", rnd.t_at(u), round=rnd, u=u))
+        rounds.append((rnd, u))
         res.round_end_states.append(end)
         rolled = rollover(end)
         gap = rolled.mass - end.mass
@@ -620,13 +598,13 @@ def run_dem(
         )
         res.n_steps, res.n_rejected = raw.n_steps, raw.n_rejected
         ts, ys = map(np.array, zip(*raw.path))
-        legs.append(Leg("two", float(ts[-1]), _path_interpolant(ts, ys)))
+        path = float(ts[-1]), _path_interpolant(ts, ys)
         state = end
         if fired != "balance":
             res.flags += [f"stage2_{fired or raw.status}", "no_balance"]
 
     res.final_state = state
-    interior, readout_flags = interior_mass(d, eps, legs)
+    interior, readout_flags = interior_mass(d, eps, rounds, path)
     res.flags += readout_flags
     res.alpha_upper = 1.0 - interior / stop_fraction
     if not 0.0 < res.alpha_upper <= 1.0:

@@ -54,7 +54,9 @@ class Bisection:
     alpha: float
 
 
-def _check_params(n: int, d: int) -> None:
+def check_params(n: int, d: int) -> None:
+    """The parameters of a d-regular pairing on n vertices: d at least 3,
+    n above d and an even point total n * d."""
     if d < 3:
         raise ValueError(f"degree must be at least 3, got {d}")
     if n < d + 1:
@@ -192,7 +194,7 @@ def gen_regular(
     neighbors in the order of their pairs: as drawn for restart and
     multigraphs, as kept for rematch.
     """
-    _check_params(n, d)
+    check_params(n, d)
     rng = np.random.default_rng(seed)
 
     if not simple:

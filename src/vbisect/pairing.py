@@ -20,11 +20,14 @@ below the subset's point total names a point, numbering the points class
 by class, O(d) per draw. An exposure draws the first point, then the
 second, each with the getrandbits loop `randrange` runs, and moves both
 vertices down a class in place; the two stages differ only in its two
-parameters (low_max, color_on_hit). One loop, `PairingState.expose_stage`,
-runs a stage's exposures over local copies of the state until the stage
+parameters (low_max, color_on_hit): (d, False) in stage one and
+(`stage_two_low_max(d)`, True) in stage two, the pair the fluid limit's
+legs are keyed by. `PairingState.expose_step` is the plain reference, one
+undoable exposure written with `_draw` and `_move`; the drift regression
+tests resample single steps from a frozen state with it.
+`PairingState.expose_stage` is the fast loop the runs use: the same
+exposures, bit for bit, over local copies of the state until the stage
 ends or a step bound (a snapshot, an early stop) is reached.
-`expose_step` is the same exposure one call at a time, undoable, which the
-drift regression tests use to resample single steps from a frozen state.
 The exposed edges are one flat log, and the partition's boundary is read
 off it with numpy. A promotion moves each hit white class into its red
 class as one block.
@@ -37,9 +40,31 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import check_stop_fraction
+from .graph import check_params, check_stop_fraction
 
-__all__ = ["PairingState", "SimTrace", "run_alg2", "run_alg3"]
+__all__ = ["PairingState", "SimTrace", "run_alg2", "run_alg3", "stage_two_low_max"]
+
+
+def stage_two_low_max(d: int) -> int:
+    """Stage two draws first points from red classes 1..ceil(d/2), stage
+    one from every red class (low_max d); the fluid limit reads this too."""
+    return (d + 1) // 2
+
+
+def _draw(rng: random.Random, total: int, classes) -> int:
+    """The owner of a uniform point of classes, (points, members) pairs
+    holding total points: `randrange`'s getrandbits loop draws t < total,
+    then the walk from the first class, which holds the top points."""
+    getrandbits = rng.getrandbits
+    k = total.bit_length()
+    t = getrandbits(k)
+    while t >= total:
+        t = getrandbits(k)
+    for i, members in classes:
+        total -= i * len(members)
+        if t >= total:
+            return members[(t - total) // i]
+    raise AssertionError("point totals out of sync")
 
 
 @dataclass
@@ -84,8 +109,8 @@ class PairingState:
     i unpaired points, and pos[u] is u's index in its list; points_red /
     points_white are the matching point totals. edges is the exposed-edge
     log, one flat int list u0, v0, u1, v1, ... in exposure order (a
-    self-loop is u, u). The invariant
-    edge_count + (points_red + points_white)/2 == n*d/2 holds throughout.
+    self-loop is u, u), one pair per step. The invariant
+    steps + (points_red + points_white)/2 == n*d/2 holds throughout.
     stop_fraction is the target both stages stop on; run_alg2 sets it.
 
     Each exposure draws its integers with a getrandbits rejection loop,
@@ -94,8 +119,8 @@ class PairingState:
     below a color's point total names the point t when the points are
     numbered class 1..d, members in list order; the lookup walks the
     classes from the top, where most of the points sit, and meets the same
-    point. `expose_stage` runs a stage's exposures in one loop;
-    `expose_step` and `undo_step` are the single-step form. A promotion
+    point. `expose_step` and `undo_step` are the single-step reference;
+    `expose_stage` runs a stage's exposures in one loop. A promotion
     (`rollover`) appends each hit white class to the red class of the same
     index as one block, in list order, where moving its members one at a
     time would put them.
@@ -113,7 +138,6 @@ class PairingState:
         "points_white",
         "size_red",
         "edges",
-        "edge_count",
         "steps",
         "phase_count",
         "stop_fraction",
@@ -135,7 +159,6 @@ class PairingState:
         self.points_white = n * d
         self.size_red = 0
         self.edges: list[int] = []
-        self.edge_count = 0
         self.steps = 0
         self.phase_count = 0
         self.stop_fraction = 0.5
@@ -180,72 +203,15 @@ class PairingState:
 
         The partner keeps its color unless color_on_hit is set and it was
         white. Returns the undo record ((u, red, free), (v, red, free)) for
-        undo_step. Both class moves are `_move`'s swap-remove and append,
-        written out.
-        """
-        free, is_red, pos = self.free, self.is_red, self.pos
-        u_red, u_free = is_red[u], free[u]
-        classes = self.red_cls if u_red else self.white_cls
-        lst = classes[u_free]
-        last = lst.pop()
-        if last != u:
-            i = pos[u]
-            lst[i] = last
-            pos[last] = i
-        dest = classes[u_free - 1]
-        pos[u] = len(dest)
-        dest.append(u)
-        free[u] = u_free - 1
-        points_red, points_white = self.points_red, self.points_white
-        if u_red:
-            points_red -= 1
-        else:
-            points_white -= 1
-
-        total = points_red + points_white
-        getrandbits = rng.getrandbits
-        k = total.bit_length()
-        t = getrandbits(k)
-        while t >= total:
-            t = getrandbits(k)
-        if t < points_red:
-            end, side = points_red, self._red
-        else:
-            end, side = total, self._white
-        for i, members in side:
-            end -= i * len(members)
-            if t >= end:
-                v = members[(t - end) // i]
-                break
-        else:
-            raise AssertionError("point totals out of sync")
-
-        v_red, v_free = is_red[v], free[v]
-        classes = self.red_cls if v_red else self.white_cls
-        lst = classes[v_free]
-        last = lst.pop()
-        if last != v:
-            i = pos[v]
-            lst[i] = last
-            pos[last] = i
-        if v_red:
-            points_red -= 1
-        elif color_on_hit:
-            classes = self.red_cls
-            is_red[v] = 1
-            points_white -= v_free
-            points_red += v_free - 1
-            self.size_red += 1
-        else:
-            points_white -= 1
-        dest = classes[v_free - 1]
-        pos[v] = len(dest)
-        dest.append(v)
-        free[v] = v_free - 1
-        self.points_red, self.points_white = points_red, points_white
-
+        undo_step."""
+        u_red, u_free = self.is_red[u], self.free[u]
+        self._move(u, u_red, u_free - 1)
+        # white points above red ones, as expose_stage numbers them
+        v = _draw(rng, self.points_red + self.points_white,
+                  self._white + self._red)
+        v_red, v_free = self.is_red[v], self.free[v]
+        self._move(v, v_red or color_on_hit, v_free - 1)
         self.edges += (u, v)
-        self.edge_count += 1
         self.steps += 1
         return (u, u_red, u_free), (v, v_red, v_free)
 
@@ -254,25 +220,11 @@ class PairingState:
         """One process step: first point from the red classes (all of them,
         or only 1..low_max), second from everything unpaired. Returns None,
         exposing nothing, when those red classes have no unpaired point."""
-        if low_max is None:
-            end, classes = self.points_red, self._red
-        else:
-            classes = self._low[low_max]
-            end = sum(i * len(members) for i, members in classes)
-        if end == 0:
+        first = self._low[self.d if low_max is None else low_max]
+        pool = sum(i * len(members) for i, members in first)
+        if pool == 0:
             return None
-        getrandbits = rng.getrandbits
-        k = end.bit_length()
-        t = getrandbits(k)
-        while t >= end:
-            t = getrandbits(k)
-        for i, members in classes:
-            end -= i * len(members)
-            if t >= end:
-                return self._expose_from(
-                    rng, members[(t - end) // i], color_on_hit
-                )
-        raise AssertionError("point totals out of sync")
+        return self._expose_from(rng, _draw(rng, pool, first), color_on_hit)
 
     def expose_stage(self, rng: random.Random, step_bound: int | None = None,
                      *, low_max: int | None = None,
@@ -299,7 +251,7 @@ class PairingState:
         pool = sum(i * len(members) for i, members in first)
         points_red, points_white = self.points_red, self.points_white
         size_red = self.size_red
-        steps = steps0 = self.steps
+        steps = self.steps
         bound = n * d if step_bound is None else step_bound
         push = self.edges.append
         getrandbits = rng.getrandbits
@@ -392,7 +344,6 @@ class PairingState:
 
         self.points_red, self.points_white = points_red, points_white
         self.size_red = size_red
-        self.edge_count += steps - steps0
         self.steps = steps
         return stop
 
@@ -401,7 +352,6 @@ class PairingState:
         self._move(v, v_red, v_free)
         self._move(u, u_red, u_free)
         del self.edges[-2:]
-        self.edge_count -= 1
         self.steps -= 1
 
     def rollover(self) -> int:
@@ -442,7 +392,7 @@ class PairingState:
         assert self.points_white == sum(
             i * len(self.white_cls[i]) for i in range(self.d + 1)
         )
-        assert self.edge_count * 2 + self.points_red + self.points_white == (
+        assert self.steps * 2 + self.points_red + self.points_white == (
             self.n * self.d
         )
         pos = self.pos
@@ -451,7 +401,7 @@ class PairingState:
                 assert self.is_red[u] and self.free[u] == i and pos[u] == j
             for j, u in enumerate(self.white_cls[i]):
                 assert not self.is_red[u] and self.free[u] == i and pos[u] == j
-        assert len(self.edges) == 2 * self.edge_count
+        assert len(self.edges) == 2 * self.steps
         degree = np.bincount(
             np.asarray(self.edges, dtype=np.int64), minlength=self.n
         )
@@ -497,10 +447,7 @@ def run_alg2(
     mid-round after that many exposures (used to freeze states for drift
     tests).
     """
-    if (n * d) % 2 != 0:
-        raise ValueError("n*d must be even")
-    if d < 3 or n <= d:
-        raise ValueError("need d >= 3 and n > d")
+    check_params(n, d)
     check_stop_fraction(n, stop_fraction)
     _check_snapshot_every(snapshot_every)
     rng = random.Random(seed)
@@ -594,7 +541,6 @@ def run_alg3(
     _check_snapshot_every(snapshot_every)
     st = state
     n, d = st.n, st.d
-    m = (d + 1) // 2
     rng = random.Random(seed)
     trace = SimTrace(n=n, d=d)
     phase = st.phase_count
@@ -603,8 +549,8 @@ def run_alg3(
     if snapshot_every:
         trace.snapshot(st, phase)
     while (end := st.expose_stage(
-        rng, _step_bound(st.steps, snapshot_every), low_max=m,
-        color_on_hit=True,
+        rng, _step_bound(st.steps, snapshot_every),
+        low_max=stage_two_low_max(d), color_on_hit=True,
     )) is None:
         trace.snapshot(st, phase)
     if end == "dry":

@@ -14,6 +14,7 @@ import pytest
 
 from vbisect import dem
 from vbisect.integrate import Event, solve_adaptive
+from vbisect.pairing import stage_two_low_max
 
 NEVER = [Event(lambda t, y: 1.0, direction=0, name="never")]
 
@@ -153,8 +154,8 @@ def test_exact_round_pull_back_matches_backward_solve(monkeypatch, d, at_end):
         rnd = dem.ExactRound(s0)
         u = rnd.u_end if at_end else 0.5 * rnd.u_end
         x = rng.uniform(0.0, 1.0, 2 * (2 * d + 1))
-        leg = dem.Leg("one", rnd.t_at(u), rnd.vector)
-        oracle, status = dem._pull_back_leg(d, leg, x)
+        oracle, status = dem._pull_back_path(d, d, False, rnd.t_at(u),
+                                             rnd.vector, x)
         assert status == "t_end"
         got = rnd.pull_back(u, x)
         assert np.abs(got - oracle).max() <= 1e-9
@@ -224,34 +225,38 @@ def test_stage_two_red_pool_drains_at_rate_two(family):
 
 @pytest.mark.parametrize("kind", ["one", "two", "fallback"])
 def test_leg_rates_follow_the_pairing_model(kind):
-    # the simulation's rules on a d = 4 hand state [r_0..r_3, z_0..z_4]: a
-    # first point uniform over the drawn pool, a second uniform over every
-    # unpaired point, and the owner of each point moves one point down.
-    # Stage one draws from every red class and a hit white keeps its
-    # colour; stage two draws from red classes 1..top (1..ceil(d/2), or
-    # every red class in the fallback) and a hit white turns red.
-    d = 4
-    cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
-    y = np.array([0.05, 0.1, 0.05, 0.02, 0.01, 0.02, 0.03, 0.04, 0.6])
-    top = {"one": 3, "two": 2, "fallback": 3}[kind]
-    drawn = lambda c, i: c == "red" and i <= top
-    p_first = sum(i * v for (c, i), v in zip(cls, y) if drawn(c, i))
-    p_all = sum(i * v for (c, i), v in zip(cls, y))
-    want = np.zeros(y.size)
-    for a, ((c, i), v) in enumerate(zip(cls, y)):
-        if i == 0:
-            continue
-        flow = i * v * ((1 / p_first if drawn(c, i) else 0.0) + 1 / p_all)
-        want[a] -= flow
-        want[cls.index((c if kind == "one" else "red", i - 1))] += flow
-    rhs = {"one": dem.rhs_phase1, "two": dem.rhs_phase2,
-           "fallback": dem.rhs_phase2_fallback}[kind]
-    assert rhs(d)(0.0, y) == pytest.approx(want.tolist(), abs=1e-14)
-    # the readout's backward pass draws first points from the same pool
-    _, _, first = dem._leg_layout(d, kind)
-    assert [f for f, (c, i) in zip(first, cls) if i > 0] == [
-        float(drawn(c, i)) for c, i in cls if i > 0
-    ]
+    # the simulation's rules on a state [r_0..r_{d-1}, z_0..z_d] for every
+    # d = 3..10: a first point uniform over the drawn pool, a second uniform
+    # over every unpaired point, and the owner of each point moves one point
+    # down. Each leg takes the simulation's (low_max, color_on_hit): stage
+    # one draws from every red class and a hit white keeps its colour;
+    # stage two draws from red classes 1..stage_two_low_max(d) (every red
+    # class in the fallback) and a hit white turns red.
+    for d in range(3, 11):
+        rhs, low_max, color_on_hit = {
+            "one": (dem.rhs_phase1, d, False),
+            "two": (dem.rhs_phase2, stage_two_low_max(d), True),
+            "fallback": (dem.rhs_phase2_fallback, d, True),
+        }[kind]
+        cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
+        y = np.random.default_rng(d).uniform(0.01, 0.1, len(cls))
+        y[-1] = 0.6
+        drawn = lambda c, i: c == "red" and i <= low_max
+        p_first = sum(i * v for (c, i), v in zip(cls, y) if drawn(c, i))
+        p_all = sum(i * v for (c, i), v in zip(cls, y))
+        want = np.zeros(y.size)
+        for a, ((c, i), v) in enumerate(zip(cls, y)):
+            if i == 0:
+                continue
+            flow = i * v * ((1 / p_first if drawn(c, i) else 0.0) + 1 / p_all)
+            want[a] -= flow
+            want[cls.index(("red" if color_on_hit else c, i - 1))] += flow
+        assert rhs(d)(0.0, y) == pytest.approx(want.tolist(), abs=1e-14)
+        # the readout's backward pass draws first points from the same pool
+        _, _, first = dem._leg_layout(d, low_max, color_on_hit)
+        assert [f for f, (c, i) in zip(first, cls) if i > 0] == [
+            float(drawn(c, i)) for c, i in cls if i > 0
+        ]
 
 
 # -- transitions ------------------------------------------------------------
@@ -396,12 +401,13 @@ def test_mass_losing_hand_off_raises(monkeypatch):
 
 
 def _run_with_legs(monkeypatch, d, **kw):
+    """run_dem's result with the rounds and stage-two path it reads off."""
     seen = {}
     real = dem.interior_mass
 
-    def spy(d, eps, legs):
-        seen["legs"] = legs
-        return real(d, eps, legs)
+    def spy(d, eps, rounds, path):
+        seen["legs"] = rounds, path
+        return real(d, eps, rounds, path)
 
     monkeypatch.setattr(dem, "interior_mass", spy)
     return dem.run_dem(d, **kw), seen["legs"]
@@ -418,7 +424,7 @@ def test_half_membership_pulls_back_to_the_half(monkeypatch, d, adaptive):
     h = np.zeros(2 * d + 1)
     h[:d] = 1.0  # red classes 0 and 2..d-1; no white is in the half
     h[1] = 0.0
-    x, flags = dem.pull_back(d, legs, np.concatenate([h, np.zeros(2 * d + 1)]))
+    x, flags = dem.pull_back(d, *legs, np.concatenate([h, np.zeros(2 * d + 1)]))
     assert flags == []
     seed = dem.init_state(d, res.eps)
     end = res.final_state
@@ -435,7 +441,7 @@ def test_fully_paired_pulls_back_to_class_zero(monkeypatch, d):
     res, legs = _run_with_legs(monkeypatch, d)
     k = np.zeros(2 * d + 1)
     k[0] = 1.0
-    x, _ = dem.pull_back(d, legs, np.concatenate([np.ones(2 * d + 1), k]))
+    x, _ = dem.pull_back(d, *legs, np.concatenate([np.ones(2 * d + 1), k]))
     seed = dem.init_state(d, res.eps)
     mass = np.concatenate([seed.r, seed.z]) @ x[2 * d + 1 :]
     assert mass == pytest.approx(res.final_state.r[0], abs=1e-7)

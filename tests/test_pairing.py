@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from vbisect import dem
-from vbisect.pairing import PairingState, _boundary_reader, run_alg2, run_alg3
+from vbisect.pairing import (
+    PairingState,
+    _boundary_reader,
+    run_alg2,
+    run_alg3,
+    stage_two_low_max,
+)
 
 
 def _signature(st: PairingState):
@@ -21,7 +27,6 @@ def _signature(st: PairingState):
         st.points_red,
         st.points_white,
         st.size_red,
-        st.edge_count,
         st.steps,
         [sorted(c) for c in st.red_cls],
         [sorted(c) for c in st.white_cls],
@@ -207,7 +212,6 @@ def _exact_state(st: PairingState):
         st.points_red,
         st.points_white,
         st.size_red,
-        st.edge_count,
         st.steps,
         list(st.edges),
     )
@@ -265,7 +269,7 @@ def test_stage_loop_matches_single_steps(
 ):
     """The stage loop leaves the state, the random stream and the stop
     reason exactly as repeated expose_step calls do."""
-    low_max = (d + 1) // 2 if stage_two else None
+    low_max = stage_two_low_max(d) if stage_two else None
     runs = []
     for _ in range(2):
         st, _ = run_alg2(2000, d, seed=d, **alg2_options)

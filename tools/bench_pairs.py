@@ -9,7 +9,9 @@ parent from REV, the change from `git stash create` (the working tree's
 tracked files; an untracked file must be added first), or from HEAD when
 no tracked file has changed. The output names the commit each side was
 extracted from. First the tier-1 tests run once per side, for their
-collected count, wall time, pass and fail counts and slowest phases.
+collected count, wall time, pass and fail counts and slowest phases; the
+same row holds the side's src_lines, the line counts of src/vbisect/*.py
+as `wc -l` gives them, in total and per module.
 Then, for each workload of BENCHMARK.json, pair k = 1..PAIRS runs
 `perfbench/run.py --workload W --trace 0 --seconds <run_seconds> --seed k`
 once on each side, one process at a time, the parent first in odd pairs and
@@ -83,6 +85,12 @@ def bench(side: Path, workload: str, seed: int, seconds: float) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
+def src_lines(side: Path) -> dict:
+    lines = {p.name: p.read_bytes().count(b"\n")
+             for p in sorted((side / "src" / "vbisect").glob("*.py"))}
+    return {"total": sum(lines.values()), **lines}
+
+
 def tier1(side: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, ["src", os.environ.get("PYTHONPATH")]))}
@@ -101,7 +109,8 @@ def tier1(side: Path) -> dict:
                re.findall(r"^(\d+\.\d+)s (setup|call|teardown)\s+(\S+)", out, re.M)]
     return {"collected": int(collected[-1]) if collected else 0,
             "wall_s": round(wall, 1), "passed": count("passed"),
-            "failed": count("failed"), "slowest": slowest}
+            "failed": count("failed"), "slowest": slowest,
+            "src_lines": src_lines(side)}
 
 
 def quartiles(values: list[float]) -> dict:
