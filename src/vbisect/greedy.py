@@ -5,8 +5,19 @@ exceed the target half, then backs off a configurable number of radii.
 Stage two repeatedly picks a red vertex with the fewest uncovered
 neighbors (at least one) and colors one of those neighbors, until the red
 set reaches the target size. A bucket queue keyed by uncovered-neighbor
-count keeps the whole run at O(d*n). Bucket 0 is not kept: a red vertex
-with no uncovered neighbor is never drawn or moved again.
+count keeps the whole run at O(d*n).
+
+Phase two keeps one key list: key[v] is 0 for a white vertex and 1 + its
+uncovered-neighbor count for a red one, so a neighbor's color and count are
+one read. The buckets are indexed by key, 2..d+1; a red vertex with no
+uncovered neighbor (key 1) is never drawn or moved again, so it is not kept.
+After a step from bucket lo that colors w, every moved vertex sits at most
+one bucket lower and w sits in bucket key[w], so the next scan for the
+lowest non-empty bucket starts at min(lo - 1, key[w]), not at the bottom.
+Only the ball's outer layer can have an uncovered neighbor, so the seeding
+counts and buckets that layer alone; the interior is marked red in bulk.
+The red set is also kept as a bytearray, written once per step and never
+read in the loop, for the returned mask.
 
 A run costs its BFS ball and its phase-two loop. The BFS stops at the
 critical ball, the first ball over the target, since no later layer is
@@ -78,52 +89,61 @@ def run_alg1(
     r_crit, b0, b1, b2 = critical_balls(np.cumsum([len(layer) for layer in layers]), limit)
     r0 = max(r_crit - cfg.r0_offset, 0)  # at least x0 itself
     ball = np.concatenate(layers[: r0 + 1])
+    size_red = seeded = len(ball)
+
+    # key[v] is 0 for a white vertex and 1 + its uncovered-neighbor count
+    # for a red one. Only the ball's outer layer can have an uncovered
+    # neighbor, so the interior is marked red (key 1) and never counted.
     red = np.zeros(n, dtype=bool)
     red[ball] = True
-    color = bytearray(red.tobytes())
-    size_red = seeded = len(ball)
+    color = bytearray(red.tobytes())  # the red set, only written, for the output
+    keys = red.astype(np.intp)
+    outer = layers[r0]
+    keys[outer] += d - keys[g.adjacency[outer]].sum(axis=1)
+    key = keys.tolist()
 
     adj = g.rows
     getrandbits = rng.getrandbits
 
-    # bucket queue over red vertices, keyed by uncovered neighbors; a red
-    # vertex with none left is never drawn or moved again, so it is not kept
-    cnt = [0] * n
+    # bucket queue over red vertices, indexed by key; a red vertex with no
+    # uncovered neighbor (key 1) is never drawn or moved again, so it is not
+    # kept, and buckets 0 and 1 stay empty. Bucket d + 2 is a non-empty
+    # sentinel that ends the scan for the lowest non-empty bucket.
+    top = d + 1
     pos = [0] * n
-    buckets: list[list[int]] = [[] for _ in range(d + 1)]
-    uncovered = np.count_nonzero(~red[g.adjacency[ball]], axis=1)
-    for u, c in zip(ball.tolist(), uncovered.tolist()):
-        cnt[u] = c
-        if c:
-            pos[u] = len(buckets[c])
-            buckets[c].append(u)
-    drawn = buckets[1:]  # the same lists, lowest key first
+    buckets: list[list[int]] = [[] for _ in range(top + 1)] + [[-1]]
+    for u in outer.tolist():
+        k = key[u]
+        if k > 1:
+            pos[u] = len(buckets[k])
+            buckets[k].append(u)
 
     fallback = False
+    lo = 2  # no non-empty bucket is below lo
     while size_red < target:
-        for bj in drawn:
-            if bj:
-                break
-        else:
+        while not buckets[lo]:
+            lo += 1
+        if lo > top:
             fallback = True
             break
         # rng.choice(bj), then rng.choice of u's uncovered neighbors, written
         # out: choice(seq) is seq[r], r = getrandbits(m.bit_length()) until
-        # r < m = len(seq); u has cnt[u] of them, and the r-th in row order
-        # is drawn
+        # r < m = len(seq); u has key[u] - 1 of them, and the r-th in row
+        # order is drawn
+        bj = buckets[lo]
         m = len(bj)
         k = m.bit_length()
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
         u = bj[r]
-        m = cnt[u]
+        m = key[u] - 1
         k = m.bit_length()
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
         for w in adj[u]:
-            if not color[w]:
+            if not key[w]:
                 if not r:
                     break
                 r -= 1
@@ -132,30 +152,34 @@ def run_alg1(
 
         color[w] = 1
         size_red += 1
-        c_w = 0
+        k_w = 1
         for u in adj[w]:
-            if color[u]:
+            k = key[u]
+            if k:
                 # u loses an uncovered neighbor: the last vertex of its
                 # bucket fills its slot, then u joins the bucket below
-                c = cnt[u]
-                b = buckets[c]
+                b = buckets[k]
                 last = b.pop()
                 if last != u:
                     b[pos[u]] = last
                     pos[last] = pos[u]
-                c -= 1
-                cnt[u] = c
-                if c:
-                    b = buckets[c]
+                k -= 1
+                key[u] = k
+                if k > 1:
+                    b = buckets[k]
                     pos[u] = len(b)
                     b.append(u)
             else:
-                c_w += 1
-        if c_w:
-            cnt[w] = c_w
-            b = buckets[c_w]
+                k_w += 1
+        key[w] = k_w
+        # every moved vertex sits at most one bucket lower, and w in k_w
+        lo -= 1
+        if k_w > 1:
+            b = buckets[k_w]
             pos[w] = len(b)
             b.append(w)
+            if k_w < lo:
+                lo = k_w
     steps = size_red - seeded
 
     mask = np.frombuffer(color, dtype=np.uint8).astype(bool)
@@ -165,8 +189,8 @@ def run_alg1(
         mask[rng.sample(uncolored, target - size_red)] = True
         bis = bisection_of(g, mask)
     else:
-        # the red vertices with an uncovered neighbor are buckets[1..d]
-        width = sum(map(len, drawn))
+        # the red vertices with an uncovered neighbor are buckets[2..d+1]
+        width = sum(map(len, buckets[2:-1]))
         bis = Bisection(red=mask, width=width, alpha=alpha_of(width, n))
     trace = GreedyTrace(
         x0=x0,

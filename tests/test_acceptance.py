@@ -4,13 +4,14 @@ A FAIL line here is a measured shortfall kept visible on purpose. The
 tolerances are frozen; they are never widened to turn a line green.
 """
 
+import math
 import random
 import time
 
 import numpy as np
 
 from vbisect import dem, experiment, reference
-from vbisect.graph import brute_force_bw, brute_force_vbw, gen_regular
+from vbisect.graph import ball_layers, brute_force_bw, brute_force_vbw, gen_regular
 from vbisect.greedy import GreedyConfig, run_alg1
 from vbisect.pairing import run_alg2
 
@@ -244,4 +245,49 @@ def test_criterion_9_ball_profile_ordering(criterion_log):
         f"12 profiles ordered around n/2 ({time.perf_counter() - t0:.0f}s)"
     )
     criterion_log(9, "critical ball sizes bracket half the graph", not fails, detail)
+    assert not fails, detail
+
+
+def _white_profile(d, W0, x0, W):
+    """Alg 1's white side in closed form: after the BFS hand-off at white
+    fraction W0, with x0 the share of white points that face red, the
+    white vertices with i red neighbors make up W * Bin(d, x)(i) of the
+    graph at white fraction W, where 1 - x = (1 - x0) (W / W0)^((d-2)/d).
+    Phase two colours a uniform end of the red-white matching whichever
+    red vertex it picks, so the profile is the same for any priority."""
+    x = 1 - (1 - x0) * (W / W0) ** ((d - 2) / d)
+    return np.array([W * math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)])
+
+
+def test_criterion_10_white_profile_is_priority_free(criterion_log):
+    """The greedy's final white profile on real graphs against the closed
+    form, each run read from its own seeded ball; 3 graphs x 3 runs of
+    the criterion 3 sweep per degree. Single runs stray up to about 3e-3,
+    so the gate is on the 9-run means."""
+    t0 = time.perf_counter()
+    n, tol = 100_000, 2e-3
+    fails, gaps = [], []
+    for d in (3, 4, 6, 10):
+        observed, predicted = [], []
+        for gi in range(3):
+            g = experiment._graph(n, d, 0, gi, "rematch")
+            for ri in range(3):
+                bis, trace = run_alg1(g, GreedyConfig(seed=experiment._child_seed(0, 2, gi, ri)))
+                layers = ball_layers(g, trace.x0, n / 2)
+                ball = np.concatenate(layers[: max(trace.r_crit - 2, 0) + 1])
+                in_ball = np.zeros(n, dtype=bool)
+                in_ball[ball] = True
+                W0 = 1 - len(ball) / n
+                E0 = np.count_nonzero(~in_ball[g.adjacency[ball]]) / n
+                white = ~bis.red
+                W = np.count_nonzero(white) / n
+                reds = np.count_nonzero(bis.red[g.adjacency[white]], axis=1)
+                observed.append(np.bincount(reds, minlength=d + 1) / n)
+                predicted.append(_white_profile(d, W0, E0 / (d * W0), W))
+        gap = float(np.max(np.abs(np.mean(observed, axis=0) - np.mean(predicted, axis=0))))
+        gaps.append(f"d={d} gap {gap:.1e}")
+        if gap > tol:
+            fails.append(f"d={d} mean white profile off the closed form by {gap:.1e}")
+    detail = "; ".join(fails) or "; ".join(gaps) + f" ({time.perf_counter() - t0:.1f}s)"
+    criterion_log(10, "white profile matches the priority-free closed form", not fails, detail)
     assert not fails, detail

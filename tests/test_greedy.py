@@ -155,6 +155,9 @@ GOLDEN_RUNS = {
         (1957, 318, 309, "08753ad06ebc")],
     4: [(1729, 472, 848, "49a735473073"), (275, 459, 841, "d6cb8395492b"),
         (1957, 472, 555, "5c5b77fbd478")],
+    # at d=6 the lowest drawn class falls, rises and falls again
+    6: [(1729, 627, 823, "857809027787"), (275, 623, 818, "f737ef84b1fc"),
+        (1957, 664, 290, "0777f5a4647f")],
     10: [(1729, 777, 902, "5d5d786c0dff"), (275, 782, 900, "ddf27907c0c3"),
          (1957, 814, 245, "03390e535cc5")],
 }

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Paired benchmark of a change against a parent revision.
 
-    python3 tools/bench_pairs.py --parent REV --tag N [--note TEXT]
+    python3 tools/bench_pairs.py --parent REV --tag N [--note TEXT] [--workload NAME]
 
 Both sides run from fresh extractions, `git archive REV | tar -x` into a
 temporary directory each, so neither starts with a warm `__pycache__`: the
@@ -12,7 +12,8 @@ extracted from. First the tier-1 tests run once per side, for their
 collected count, wall time, pass and fail counts and slowest phases; the
 same row holds the side's src_lines, the line counts of src/vbisect/*.py
 as `wc -l` gives them, in total and per module.
-Then, for each workload of BENCHMARK.json, pair k = 1..PAIRS runs
+Then, for each workload of BENCHMARK.json (or each one named by a
+repeatable --workload), pair k = 1..PAIRS runs
 `perfbench/run.py --workload W --trace 0 --seconds <run_seconds> --seed k`
 once on each side, one process at a time, the parent first in odd pairs and
 the change first in even ones. BENCH_<N>.json at the repository root gets,
@@ -170,9 +171,13 @@ def main(argv=None) -> int:
     ap.add_argument("--tag", required=True, help="names the output, BENCH_<tag>.json")
     ap.add_argument("--note", action="append", default=[],
                     help="a line for the output's notes; may be repeated")
-    args = ap.parse_args(argv)
-
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    names = [w["name"] for w in spec["workloads"]]
+    ap.add_argument("--workload", action="append", choices=names,
+                    help="bench only this workload; may be repeated (default: all)")
+    args = ap.parse_args(argv)
+    workloads = [w for w in names if w in (args.workload or names)]
+
     seconds = spec["run_seconds"]
     path = ROOT / f"BENCH_{args.tag}.json"
     report = {
@@ -201,7 +206,7 @@ def main(argv=None) -> int:
             extract(report["commits"][name], side)
         report["tier1"] = {name: tier1(root) for name, root in sides.items()}
         save()
-        for workload in (w["name"] for w in spec["workloads"]):
+        for workload in workloads:
             runs = {"parent": [], "change": []}
             for k in range(1, PAIRS + 1):
                 order = ("parent", "change") if k % 2 else ("change", "parent")
