@@ -140,15 +140,25 @@ def _leg_rhs(d: int, low_max: int, color_on_hit: bool):
     Each exposure pairs a first point, uniform over the first-point pool,
     with a second point, uniform over all unpaired points, so each state
     loses points at its combined per-point rate and that mass moves to the
-    state one point down. The component sum vanishes up to rounding.
+    state one point down. The layout gives one matrix, built once per leg:
+    the point moves scaled by pts, the same scaled by the pool's pts, the
+    all-points row and the pool row, so f is one product and two divisions;
+    a pool with no points adds no first-point term. The component sum
+    vanishes up to rounding.
     """
     pts, down, first = _leg_layout(d, low_max, color_on_hit)
+    n = pts.size
+    move = np.zeros((n, n))
+    move[down, np.arange(n)] = 1.0
+    move -= np.eye(n)
+    mat = np.vstack([move * pts, move * (pts * first), pts, pts * first])
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
-        w = pts * y
-        wf = w * first
-        out = w / w.sum() + (wf / wf.sum() if wf.any() else 0.0)
-        return np.bincount(down, out, pts.size) - out
+        v = mat.dot(y)
+        out = v[:n] / v[-2]
+        if v[-1]:
+            out += v[n:-2] / v[-1]
+        return out
 
     return f
 

@@ -5,11 +5,13 @@ detection and location, and the recorded path. It takes one of two
 steppers: an adaptive Dormand-Prince 5(4) pair for accuracy-controlled
 work, or classical RK4 on a fixed grid for budgeted-step-count runs.
 Events are scalar functions of (t, y); the driver stops at the first sign
-change and refines the crossing time by bisection.
+change and locates the crossing time with a safeguarded bracketing root
+finder, to within T_TOL.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -36,6 +38,7 @@ _DP_BH = np.array(
 )
 
 T_TOL = 1e-10  # absolute tolerance for event crossing times
+LOCATE_SLACK = 2  # trials event location may spend beyond bisection's halvings
 MAX_STEPS = 5_000_000  # default cap on attempted steps per solve
 
 
@@ -92,8 +95,9 @@ def _dp54_step(f: RhsFn, t: float, y: np.ndarray, h: float, k1: np.ndarray | Non
     return y5, err, k[0].copy(), k[6]
 
 
-def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(t, y)
+def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float,
+              k1: np.ndarray | None = None) -> np.ndarray:
+    k1 = f(t, y) if k1 is None else k1
     k2 = f(t + h / 2, y + h / 2 * k1)
     k3 = f(t + h / 2, y + h / 2 * k2)
     k4 = f(t + h, y + h * k3)
@@ -101,8 +105,9 @@ def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float) -> np.ndarray:
 
 
 # A stepper is a pair (step, trial). step(t, y, h) returns (y at t + h, or
-# None if the step is rejected, and the next step size); trial(t, y, h)
-# integrates by exactly h, for event location.
+# None if the step is rejected, and the next step size); trial(t, y) returns
+# the function that integrates from (t, y) by exactly dt in one step, for
+# event location. It evaluates f(t, y) once, for all of its calls.
 
 
 def _dp54(f: RhsFn, rtol: float, atol: float):
@@ -122,38 +127,75 @@ def _dp54(f: RhsFn, rtol: float, atol: float):
         k1 = k7
         return y_new, h * (min(5.0, 0.9 * err_norm ** -0.2) if err_norm > 0 else 5.0)
 
-    return step, lambda t, y, h: _dp54_step(f, t, y, h, None)[0]
+    def trial(t: float, y: np.ndarray):
+        k = f(t, y)
+        return lambda dt: _dp54_step(f, t, y, dt, k)[0]
+
+    return step, trial
 
 
 def _rk4(f: RhsFn):
     """Fixed-grid RK4 stepper: every step is accepted at the same size."""
-    trial = lambda t, y, h: _rk4_step(f, t, y, h)
-    return (lambda t, y, h: (trial(t, y, h), h)), trial
+
+    def trial(t: float, y: np.ndarray):
+        k = f(t, y)
+        return lambda dt: _rk4_step(f, t, y, dt, k)
+
+    return (lambda t, y, h: (_rk4_step(f, t, y, h), h)), trial
 
 
-def _locate(trial, t0: float, y0: np.ndarray, h: float, fired, g0):
-    """Bisect the step of length h from (t0, y0) on "some fired event has
-    crossed" until the bracket is within T_TOL.
+def _locate(trial, t0: float, h: float, y1: np.ndarray, fired, g0, g1):
+    """Locate the first crossing in the step of length h from t0, ending at
+    y1. fired holds the (index, event) pairs that fired over the whole step,
+    g0 and g1 the event values at its ends, and trial(dt) integrates from
+    t0 by exactly dt.
 
-    fired holds the (index, event) pairs that fired over the whole step, g0
-    the event values at its start. Returns (t, y, event) at the right end
-    of the final bracket, event being the first fired one that has crossed
-    there; one has, since trial(t0, y0, h) reproduces the accepted step.
+    The bracket [lo, hi] starts as [0, h] and shrinks on "some fired event
+    has crossed". Each fired event is tracked by phi = +-g, positive before
+    its crossing. The next trial point is the earliest Illinois regula falsi
+    estimate over the events that have crossed at hi, kept T_TOL/2 clear of
+    both ends, so a sharp estimate closes the bracket on the next trial. As
+    in ITP (Oliveira and Takahashi, ACM TOMS 47, 2021), it is then projected
+    into a radius about the midpoint that still lets the bracket reach
+    T_TOL within LOCATE_SLACK trials of bisection's count, whatever the
+    events' shape. Returns (t, y, event) at the right end of the final
+    bracket, at most T_TOL wide: no fired event has crossed at its left
+    end, and event is the first fired one that has crossed at its right.
     """
+    sign = [1.0 if g0[i] > 0.0 else -1.0 for i, _ in fired]
 
-    def crossed(dt: float, y: np.ndarray) -> list[Event]:
-        return [ev for i, ev in fired if ev.fired(g0[i], ev(t0 + dt, y))]
+    def phi(dt: float, y: np.ndarray) -> list[float]:
+        return [s * ev(t0 + dt, y) for s, (_, ev) in zip(sign, fired)]
 
-    lo, hi = 0.0, h
-    y_hi = trial(t0, y0, hi)
+    lo, hi, y_hi = 0.0, h, y1
+    p_lo = [s * g0[i] for s, (i, _) in zip(sign, fired)]
+    p_hi = [s * g1[i] for s, (i, _) in zip(sign, fired)]
+    # trials left: keeping x within r of the midpoint keeps w under
+    # 0.99 T_TOL 2^budget, the 1% being headroom for rounding
+    budget = math.ceil(math.log2(h / T_TOL)) + LOCATE_SLACK if h > T_TOL else 0
+    kept = 0  # +1 after a trial moved hi, -1 after one moved lo
     while hi - lo > T_TOL:
-        mid = 0.5 * (lo + hi)
-        y_mid = trial(t0, y0, mid)
-        if crossed(mid, y_mid):
-            hi, y_hi = mid, y_mid
+        w = hi - lo
+        mid = lo + 0.5 * w
+        x = min(lo + w * a / (a - b) for a, b in zip(p_lo, p_hi) if b <= 0.0)
+        x = min(hi - 0.5 * T_TOL, max(lo + 0.5 * T_TOL, x))
+        r = max(0.495 * T_TOL * 2.0**budget - 0.5 * w, 0.0)
+        budget -= 1
+        x = min(mid + r, max(mid - r, x))
+        y = trial(x)
+        p = phi(x, y)
+        if any(v <= 0.0 for v in p):
+            hi, y_hi, p_hi = x, y, p
+            if kept > 0:  # lo kept twice: halve its values (Illinois)
+                p_lo = [0.5 * v for v in p_lo]
+            kept = 1
         else:
-            lo = mid
-    return t0 + hi, y_hi, crossed(hi, y_hi)[0]
+            lo, p_lo = x, p
+            if kept < 0:
+                p_hi = [0.5 * v for v in p_hi]
+            kept = -1
+    ev = next(ev for (_, ev), v in zip(fired, p_hi) if v <= 0.0)
+    return t0 + hi, y_hi, ev
 
 
 def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
@@ -191,7 +233,7 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
         g_new = [ev(t_new, y_new) for ev in events]
         fired = [(i, ev) for i, ev in enumerate(events) if ev.fired(g[i], g_new[i])]
         if fired:
-            res.t, res.y, ev = _locate(trial, t, y, h, fired, g)
+            res.t, res.y, ev = _locate(trial(t, y), t, h, y_new, fired, g, g_new)
             res.status, res.event = "event", ev.name
             res.n_steps += 1
             res.path.append((res.t, res.y.copy()))

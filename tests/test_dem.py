@@ -223,6 +223,15 @@ def test_stage_two_red_pool_drains_at_rate_two(family):
     assert end.points_all == pytest.approx(s0.points_all - 2 * T, abs=1e-12)
 
 
+def _leg(kind, d):
+    """(rhs factory, low_max, color_on_hit) of a leg kind at degree d."""
+    return {
+        "one": (dem.rhs_phase1, d, False),
+        "two": (dem.rhs_phase2, stage_two_low_max(d), True),
+        "fallback": (dem.rhs_phase2_fallback, d, True),
+    }[kind]
+
+
 @pytest.mark.parametrize("kind", ["one", "two", "fallback"])
 def test_leg_rates_follow_the_pairing_model(kind):
     # the simulation's rules on a state [r_0..r_{d-1}, z_0..z_d] for every
@@ -233,11 +242,7 @@ def test_leg_rates_follow_the_pairing_model(kind):
     # stage two draws from red classes 1..stage_two_low_max(d) (every red
     # class in the fallback) and a hit white turns red.
     for d in range(3, 11):
-        rhs, low_max, color_on_hit = {
-            "one": (dem.rhs_phase1, d, False),
-            "two": (dem.rhs_phase2, stage_two_low_max(d), True),
-            "fallback": (dem.rhs_phase2_fallback, d, True),
-        }[kind]
+        rhs, low_max, color_on_hit = _leg(kind, d)
         cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
         y = np.random.default_rng(d).uniform(0.01, 0.1, len(cls))
         y[-1] = 0.6
@@ -257,6 +262,27 @@ def test_leg_rates_follow_the_pairing_model(kind):
         assert [f for f, (c, i) in zip(first, cls) if i > 0] == [
             float(drawn(c, i)) for c, i in cls if i > 0
         ]
+
+
+@pytest.mark.parametrize("kind", ["one", "two", "fallback"])
+def test_empty_pool_leaves_the_all_points_flow(kind):
+    # with no mass in red classes 1..low_max no first point can be drawn,
+    # so every point is paired at the second-point rate 1/p_all alone
+    for d in range(3, 11):
+        rhs, low_max, color_on_hit = _leg(kind, d)
+        cls = [("red", i) for i in range(d)] + [("white", j) for j in range(d + 1)]
+        y = np.random.default_rng(d).uniform(0.01, 0.1, len(cls))
+        y[1 : min(low_max, d - 1) + 1] = 0.0
+        p_all = sum(i * v for (_, i), v in zip(cls, y))
+        want = np.zeros(y.size)
+        for a, ((c, i), v) in enumerate(zip(cls, y)):
+            if i > 0:
+                want[a] -= i * v / p_all
+                want[cls.index(("red" if color_on_hit else c, i - 1))] += i * v / p_all
+        got = rhs(d)(0.0, y)
+        assert np.all(np.isfinite(got))
+        assert got == pytest.approx(want.tolist(), abs=1e-14)
+        assert abs(float(got.sum())) <= 1e-12
 
 
 # -- transitions ------------------------------------------------------------

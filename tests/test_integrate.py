@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from vbisect.integrate import Event, solve_adaptive, solve_fixed
+from vbisect import integrate
+from vbisect.integrate import T_TOL, Event, solve_adaptive, solve_fixed
 
 
 SOLVERS = ("adaptive", "fixed")
@@ -145,3 +146,93 @@ def test_rounding_remainder_of_the_span_counts_as_arrival():
         res = _solve(solver, lambda t, y: -y, 0.0, np.array([1.0]), 1e-20)
         assert res.status == "t_end", solver
         assert res.y[0] == 1.0, solver
+
+
+# -- event location ---------------------------------------------------------
+
+# rhs calls a trial costs plain bisection, which integrates each trial from
+# the step's start with f evaluated there afresh
+BISECTION_CALLS_PER_TRIAL = {"adaptive": 7, "fixed": 4}
+
+
+def _locating(monkeypatch, solver, f, y0, t_end, events, **kw):
+    """Solve from t = 0 with a counting rhs and a spy on `_locate`.
+
+    Returns the result, the rhs calls spent locating (the total less the
+    calls its steps account for: DP54 makes 7 on the first attempt and 6
+    on each later one, RK4 4 a step), and the searched step as (trial, t0,
+    h, fired)."""
+    calls = [0]
+
+    def counted(t, y):
+        calls[0] += 1
+        return f(t, y)
+
+    seen = []
+    real = integrate._locate
+
+    def spy(trial, t0, h, y1, fired, g0, g1):
+        seen.append((trial, t0, h, fired))
+        return real(trial, t0, h, y1, fired, g0, g1)
+
+    monkeypatch.setattr(integrate, "_locate", spy)
+    res = _solve(solver, counted, 0.0, np.asarray(y0, dtype=float), t_end, events, **kw)
+    assert res.status == "event" and len(seen) == 1, solver
+    if solver == "adaptive":
+        stepping = 7 + 6 * (res.n_steps + res.n_rejected - 1)
+    else:
+        stepping = 4 * res.n_steps
+    return res, calls[0] - stepping, seen[0]
+
+
+def _crossing(trial, t0, h, ev):
+    """The first time in the step at which ev has changed sign, bisected on
+    the step's own trial integration to float resolution."""
+    side = math.copysign(1.0, ev(t0, trial(0.0)))
+    lo, hi = 0.0, h
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if side * ev(t0 + mid, trial(mid)) <= 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return t0 + hi
+
+
+LOCATE_CASES = {
+    # name: (rhs, y0, events, the event that ends the run, solver options)
+    "rising": (lambda t, y: y, [1.0],
+               [Event(lambda t, y: y[0] - 2.0, direction=1, name="two")],
+               "two", {"fixed": {"h": 0.01}}),
+    "falling": (lambda t, y: -y, [1.0],
+                [Event(lambda t, y: y[0] - 0.5, direction=-1, name="half")],
+                "half", {"fixed": {"h": 0.01}}),
+    "triple_root": (lambda t, y: np.ones(1), [0.0],
+                    [Event(lambda t, y: (y[0] - 0.3) ** 3, name="cube")],
+                    "cube", {"fixed": {"h": 0.07}}),
+    # loose tolerances make the adaptive steps long enough to cross both
+    "two_in_one_step": (lambda t, y: y, [1.0],
+                        [Event(lambda t, y: y[0] - 2.05, direction=1, name="late"),
+                         Event(lambda t, y: y[0] - 2.0, direction=1, name="early")],
+                        "early", {"fixed": {"h": 0.5},
+                                  "adaptive": {"rtol": 1e-3, "atol": 1e-6}}),
+}
+
+
+@pytest.mark.parametrize("solver", SOLVERS)
+@pytest.mark.parametrize("case", sorted(LOCATE_CASES))
+def test_event_location_contract(monkeypatch, solver, case):
+    f, y0, events, name, options = LOCATE_CASES[case]
+    res, locating, (trial, t0, h, fired) = _locating(
+        monkeypatch, solver, f, y0, 5.0, events, **options.get(solver, {}))
+    assert len(fired) == (2 if case == "two_in_one_step" else 1)
+    assert res.event == name
+    first = next(ev for ev in events if ev.name == name)
+    assert abs(res.t - _crossing(trial, t0, h, first)) <= T_TOL
+    # within plain bisection's trials on this step (one to the step's end,
+    # then one per halving) plus 2, and at most 8 on a smooth crossing
+    per_trial = BISECTION_CALLS_PER_TRIAL[solver]
+    bisection = 1 + math.ceil(math.log2(h / T_TOL))
+    assert locating <= (bisection + 2) * per_trial
+    if case != "triple_root":
+        assert locating <= 8 * per_trial
