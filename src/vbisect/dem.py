@@ -13,8 +13,8 @@ promotion of that state is the hand-off: it seeds stage two with all of
 the mass, and stage two is one numerically integrated leg, draining the
 low red classes until the balance event. The bound is the width of the
 balanced partition the simulation builds (the red set less class 1), read
-off in the fluid limit by a backward pass along the path (see the readout
-section).
+off in the fluid limit by a backward pass from the end of the run (see the
+readout section).
 
 The process is defined once: `_leg_layout` keys a leg by the simulation's
 exposure parameters (low_max, color_on_hit), (d, False) in stage one and
@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -353,8 +352,10 @@ def phase2_init(s: DemState) -> DemState:
 # the end. The interior is then the sum over the seed's vertices of k times
 # the product of h over their neighbours.
 #
-# The stage-two leg solves these equations numerically along its stored
-# path. A stage-one round solves them exactly (`ExactRound.pull_back`):
+# The stage-two leg solves these equations numerically, together with its
+# own state equations run backward from the leg's end state, so the state
+# they read is the ODE's own. A stage-one round solves them exactly
+# (`ExactRound.pull_back`):
 # there a vertex loses each point independently, a white one by u with
 # probability u and a red one with probability l = u (1 + A (1 - u) / p0),
 # so per block (red r_0..r_{d-1}, white z_0..z_d)
@@ -370,41 +371,18 @@ READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
 
 
-def _path_interpolant(t: np.ndarray, y: np.ndarray):
-    """Cubic Hermite interpolant through the sampled path, with slopes
-    from second-order differences."""
-    slope = np.gradient(y, t, axis=0, edge_order=2 if t.size > 2 else 1)
-    last = t.size - 2
-
-    def at(tq: float) -> np.ndarray:
-        j = min(max(int(np.searchsorted(t, tq, side="right")) - 1, 0), last)
-        h = t[j + 1] - t[j]
-        u = (tq - t[j]) / h
-        return (
-            (1 + 2 * u) * (1 - u) ** 2 * y[j]
-            + u * (1 - u) ** 2 * h * slope[j]
-            + u * u * (3 - 2 * u) * y[j + 1]
-            + u * u * (u - 1) * h * slope[j + 1]
-        )
-
-    return at
-
-
-def _pull_back_path(d: int, low_max: int, color_on_hit: bool, span: float,
-                    at: Callable[[float], np.ndarray],
-                    x: np.ndarray) -> tuple[np.ndarray, str]:
-    """[h, k] at the start of a leg of `_leg_layout(d, low_max,
-    color_on_hit)` from [h, k] at its end, by solving the backward
-    equations along its path: at maps a time in [0, span] to the state
-    vector there. Returns the solver status too. `pull_back` runs it on
-    the stage-two path; rounds pull back exactly."""
+def _backward_rhs(d: int, low_max: int, color_on_hit: bool):
+    """g(y, x): the backward derivative of x = [h, k] at the state vector
+    y, for a leg of `_leg_layout(d, low_max, color_on_hit)`, in time
+    running backward from the leg's end."""
     pts, down, first = _leg_layout(d, low_max, color_on_hit)
     size = pts.size
 
-    def f(s: float, x: np.ndarray) -> np.ndarray:  # s runs backward from span
-        # the interpolant may dip below 0 where a class runs dry; the
-        # balance event ends stage two before the low pool does
-        w = pts * np.maximum(at(span - s), 0.0)
+    def g(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+        # the backward solve of y carries its own error and may dip below
+        # 0 where a class is near empty; the balance event ends stage two
+        # before the low pool runs dry
+        w = pts * np.maximum(y, 0.0)
         p_all = max(float(w.sum()), DELTA_STOP)
         p_first = max(float(w @ first), DELTA_STOP)
         h, k = x[:size], x[size:]
@@ -417,21 +395,31 @@ def _pull_back_path(d: int, low_max: int, color_on_hit: bool, span: float,
         dk = a * (h1 * k_dn - k) + b * (h2 * k_dn - k)
         return np.concatenate([dh, dk])
 
-    out = solve_adaptive(f, 0.0, x, span, (), rtol=READOUT_RTOL, atol=READOUT_ATOL)
-    return out.y, out.status
+    return g
 
 
-def pull_back(d: int, rounds: list, path, x: np.ndarray) -> tuple[np.ndarray, list]:
-    """Carry [h, k] from the end of a run back to its seed: along the
-    stage-two path (span, at), if there is one, by a backward solve, then
-    through each stage-one round, given as (ExactRound, the u it stops at),
-    and the promotion that ends it (the last one is the hand-off), exactly.
-    Returns it with the flags of a backward solve that did not finish."""
+def pull_back(d: int, rounds: list, leg, x: np.ndarray) -> tuple[np.ndarray, list]:
+    """Carry [h, k] from the end of a run back to its seed: over stage two,
+    given as its (span, end state), if it ran, by one backward solve of
+    [y, h, k] from that end state, then through each stage-one round, given
+    as (ExactRound, the u it stops at), and the promotion that ends it (the
+    last one is the hand-off), exactly. Returns it with the flags of a
+    backward solve that did not finish."""
     flags = []
-    if path is not None:
-        x, status = _pull_back_path(d, stage_two_low_max(d), True, *path, x)
-        if status != "t_end":
-            flags.append(f"readout_{status}")
+    if leg is not None:
+        span, y_end = leg
+        low_max, n = stage_two_low_max(d), 2 * d + 1
+        f, g = _leg_rhs(d, low_max, True), _backward_rhs(d, low_max, True)
+
+        def joint(s: float, v: np.ndarray) -> np.ndarray:  # s runs back from span
+            y = v[:n]
+            return np.concatenate([-f(span - s, y), g(y, v[n:])])
+
+        out = solve_adaptive(joint, 0.0, np.concatenate([y_end, x]), span, (),
+                             rtol=READOUT_RTOL, atol=READOUT_ATOL)
+        x = out.y[n:]
+        if out.status != "t_end":
+            flags.append(f"readout_{out.status}")
     m = _transition(d)
     before = np.concatenate([m, m + m.size])  # [h, k] gathered backward
     for rnd, u in reversed(rounds):
@@ -439,16 +427,16 @@ def pull_back(d: int, rounds: list, path, x: np.ndarray) -> tuple[np.ndarray, li
     return x, flags
 
 
-def interior_mass(d: int, eps: float, rounds: list, path) -> tuple[float, list]:
+def interior_mass(d: int, eps: float, rounds: list, leg) -> tuple[float, list]:
     """Fluid limit of the interior of the balanced half, as a fraction of
-    n, for the run seeded at eps with these rounds and stage-two path (see
+    n, for the run seeded at eps with these rounds and stage-two leg (see
     `pull_back`); returns it with the flags of `pull_back`."""
     h = np.zeros(2 * d + 1)
     h[:d] = 1.0  # the half: every red class but class 1, and no white
     h[1] = 0.0
     k = np.zeros(2 * d + 1)
     k[0] = 1.0
-    x, flags = pull_back(d, rounds, path, np.concatenate([h, k]))
+    x, flags = pull_back(d, rounds, leg, np.concatenate([h, k]))
     h, k = x[: 2 * d + 1], x[2 * d + 1 :]
     seed = init_state(d, eps)
     # the seed tree: roots (red 0) with d leaf neighbours, leaves (red d-1)
@@ -490,8 +478,8 @@ def integrate_phase(
     """One integration leg of the vector [r, z] from s0 to its earliest
     event; `run_dem` integrates stage two only (see `ExactRound`).
 
-    Returns (end state, fired event name or None, raw solver result); the
-    result's path holds every accepted step. The caller supplies the events."""
+    Returns (end state, fired event name or None, raw solver result). The
+    caller supplies the events."""
     if not events:
         raise ValueError("events must be nonempty")
     y0 = s0.vector
@@ -540,13 +528,13 @@ def run_dem(
     tight tolerance; mode "fixed" uses classical RK4 on a uniform grid of
     steps / FIXED_LEG_SHARE steps over a span sized from the point-pool
     drain. alpha_upper is the boundary of the balanced half over
-    stop_fraction, 1 - interior_mass / stop_fraction, read back along the
-    stage-two path and through the rounds. A run that does not balance
-    reads off at the state where it stopped and is flagged "no_balance":
-    stage one capped at MAX_ROUNDS ("round_cap", and no stage two), or a
-    stage-two leg that ends on anything but balance ("stage2_<event or
-    solver status>"). Raises RuntimeError if a promotion changes the total
-    mass by more than CLAMP_TOL.
+    stop_fraction, 1 - interior_mass / stop_fraction, read back over stage
+    two from its end state and then through the rounds. A run that does
+    not balance reads off at the state where it stopped and is flagged
+    "no_balance": stage one capped at MAX_ROUNDS ("round_cap", and no
+    stage two), or a stage-two leg that ends on anything but balance
+    ("stage2_<event or solver status>"). Raises RuntimeError if a
+    promotion changes the total mass by more than CLAMP_TOL.
     """
     if d < 3:
         raise ValueError("degree must be at least 3")
@@ -560,7 +548,7 @@ def run_dem(
         d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
     )
     rounds = []  # (ExactRound, the u it stops at)
-    path = None  # stage two's (span, interpolant)
+    leg = None  # stage two's (span, end state)
     state = init_state(d, eps)
     while True:
         rnd = ExactRound(state)
@@ -607,14 +595,13 @@ def run_dem(
             t_max=t_cap,
         )
         res.n_steps, res.n_rejected = raw.n_steps, raw.n_rejected
-        ts, ys = map(np.array, zip(*raw.path))
-        path = float(ts[-1]), _path_interpolant(ts, ys)
+        leg = raw.t, raw.y
         state = end
         if fired != "balance":
             res.flags += [f"stage2_{fired or raw.status}", "no_balance"]
 
     res.final_state = state
-    interior, readout_flags = interior_mass(d, eps, rounds, path)
+    interior, readout_flags = interior_mass(d, eps, rounds, leg)
     res.flags += readout_flags
     res.alpha_upper = 1.0 - interior / stop_fraction
     if not 0.0 < res.alpha_upper <= 1.0:

@@ -1,18 +1,17 @@
 """Explicit Runge-Kutta integration with sign-change event location.
 
-One driver owns the loop: the step cap, the step-size floor, event
-detection and location, and the recorded path. It takes one of two
-steppers: an adaptive Dormand-Prince 5(4) pair for accuracy-controlled
-work, or classical RK4 on a fixed grid for budgeted-step-count runs.
-Events are scalar functions of (t, y); the driver stops at the first sign
-change and locates the crossing time with a safeguarded bracketing root
-finder, to within T_TOL.
+One loop, `_drive`, owns the step cap, the step-size floor, and event
+detection and location. It takes one of two steppers: an adaptive
+Dormand-Prince 5(4) pair for accuracy-controlled work, or classical RK4
+on a fixed grid for budgeted-step-count runs. Events are scalar functions
+of (t, y); the loop stops at the first sign change and locates the
+crossing time with a safeguarded bracketing root finder, to within T_TOL.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -77,7 +76,6 @@ class IntResult:
     event: str | None = None
     n_steps: int = 0
     n_rejected: int = 0
-    path: list[tuple[float, np.ndarray]] = field(default_factory=list)
 
 
 def _dp54_step(f: RhsFn, t: float, y: np.ndarray, h: float, k1: np.ndarray | None):
@@ -202,14 +200,12 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
     """Step from (t0, y0) with initial step h to t_end or the first event.
 
     max_steps caps attempted steps, rejected ones included. The last step
-    is shortened to land on t_end. result.path records the start and every
-    accepted state, the located event point last when one fires.
+    is shortened to land on t_end.
     """
     step, trial = stepper
     t = float(t0)
     y = np.asarray(y0, dtype=float).copy()
     res = IntResult(t=t, y=y, status="t_end")
-    res.path.append((t, y.copy()))
     if t_end <= t:
         return res
 
@@ -236,12 +232,10 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
             res.t, res.y, ev = _locate(trial(t, y), t, h, y_new, fired, g, g_new)
             res.status, res.event = "event", ev.name
             res.n_steps += 1
-            res.path.append((res.t, res.y.copy()))
             return res
 
         t, y, g, h = t_new, y_new, g_new, h_next
         res.n_steps += 1
-        res.path.append((t, y.copy()))
 
     res.t, res.y = t, y
     return res
@@ -259,7 +253,7 @@ def solve_adaptive(
     max_steps: int = MAX_STEPS,
 ) -> IntResult:
     """Integrate y' = f(t, y) with DP54, stopping at t_end or the first
-    event; see `_drive` for max_steps and the recorded path."""
+    event; see `_drive` for max_steps."""
     stepper = _dp54(f, rtol, atol)
     return _drive(stepper, t0, y0, t_end, 1e-6, events, max_steps)
 

@@ -138,15 +138,15 @@ def test_exact_round_matches_integrated_rhs(d):
 
 @pytest.mark.parametrize("d", range(3, 11))
 @pytest.mark.parametrize("at_end", [True, False])
-def test_exact_round_pull_back_matches_backward_solve(monkeypatch, d, at_end):
+def test_exact_round_pull_back_matches_backward_solve(d, at_end):
     # the oracle: the backward equations solved along the exact round's
     # path, to the end of the round or to mid-round, from the seed, from a
     # promoted random state (the start of a later round) and from a random
     # state with every white class filled. At the readout's own tolerance
     # the solve is off by up to 2.5e-8, so the oracle runs at the
-    # stage-one oracle's rtol
-    monkeypatch.setattr(dem, "READOUT_RTOL", 1e-10)
-    monkeypatch.setattr(dem, "READOUT_ATOL", 1e-12)
+    # stage-one oracle's rtol. It reads the exact round's state rather than
+    # running the round backward: from p_red = DELTA_STOP that is stiff
+    g = dem._backward_rhs(d, d, False)
     rng = np.random.default_rng([60 + d, at_end])
     rand = _random_stage_one_state(d, rng)
     starts = (dem.init_state(d, 1e-5), dem.rollover(rand), rand)
@@ -154,11 +154,12 @@ def test_exact_round_pull_back_matches_backward_solve(monkeypatch, d, at_end):
         rnd = dem.ExactRound(s0)
         u = rnd.u_end if at_end else 0.5 * rnd.u_end
         x = rng.uniform(0.0, 1.0, 2 * (2 * d + 1))
-        oracle, status = dem._pull_back_path(d, d, False, rnd.t_at(u),
-                                             rnd.vector, x)
-        assert status == "t_end"
+        span = rnd.t_at(u)
+        oracle = solve_adaptive(lambda s, x: g(rnd.vector(span - s), x), 0.0,
+                                x, span, rtol=1e-10, atol=1e-12)
+        assert oracle.status == "t_end"
         got = rnd.pull_back(u, x)
-        assert np.abs(got - oracle).max() <= 1e-9
+        assert np.abs(got - oracle.y).max() <= 1e-9
         # h is a martingale along a vertex's chain, exactly
         h_start, h_end = got[: 2 * d + 1], x[: 2 * d + 1]
         assert s0.vector @ h_start == pytest.approx(
@@ -427,13 +428,14 @@ def test_mass_losing_hand_off_raises(monkeypatch):
 
 
 def _run_with_legs(monkeypatch, d, **kw):
-    """run_dem's result with the rounds and stage-two path it reads off."""
+    """run_dem's result with the rounds and the stage-two (span, end
+    state) it reads off."""
     seen = {}
     real = dem.interior_mass
 
-    def spy(d, eps, rounds, path):
-        seen["legs"] = rounds, path
-        return real(d, eps, rounds, path)
+    def spy(d, eps, rounds, leg):
+        seen["legs"] = rounds, leg
+        return real(d, eps, rounds, leg)
 
     monkeypatch.setattr(dem, "interior_mass", spy)
     return dem.run_dem(d, **kw), seen["legs"]
@@ -476,10 +478,10 @@ def test_fully_paired_pulls_back_to_class_zero(monkeypatch, d):
 @pytest.mark.parametrize("adaptive", [True, False])
 def test_readout_within_class_bounds(adaptive):
     # the interior is at most the fully paired red mass, and loses at most
-    # d - 1 vertices per class-1 vertex; 1e-7 covers the backward solve and
-    # the path interpolant. Over the adaptive config grid, and in fixed
-    # mode at 125 000 steps, every backward solve finishes, every run
-    # balances in one stage-two leg, and stage two holds no hit white.
+    # d - 1 vertices per class-1 vertex; 1e-7 covers the backward solve.
+    # Over the adaptive config grid, and in fixed mode at 125 000 steps,
+    # every backward solve finishes, every run balances in one stage-two
+    # leg, and stage two holds no hit white.
     if adaptive:
         configs = itertools.product(
             range(3, 11), (0.5, 0.3), (None, "d/n"), ("adaptive",)
@@ -496,6 +498,46 @@ def test_readout_within_class_bounds(adaptive):
         lost = (d - 1) * end.r[1]
         assert 1.0 - end.r[0] / sf - 1e-7 <= res.alpha_upper
         assert res.alpha_upper <= 1.0 - (end.r[0] - lost) / sf + 1e-7
+
+
+def _spy_readout(monkeypatch, **cap):
+    """Record each result of the readout's backward solve, the call of
+    solve_adaptive at READOUT_RTOL, passing it cap's keywords."""
+    seen = []
+    real = dem.solve_adaptive
+
+    def spy(*args, **kw):
+        if kw.get("rtol") != dem.READOUT_RTOL:
+            return real(*args, **kw)
+        seen.append(real(*args, **kw, **cap))
+        return seen[-1]
+
+    monkeypatch.setattr(dem, "solve_adaptive", spy)
+    return seen
+
+
+@pytest.mark.parametrize("sf", [0.5, 0.3])
+def test_backward_state_returns_to_the_stage_two_seed(monkeypatch, sf):
+    # the readout runs stage two backward from its end state, adaptively
+    # solved on both sides, so its state lands back on stage two's seed
+    seen = _spy_readout(monkeypatch)
+    for d in range(3, 11):
+        res = dem.run_dem(d, stop_fraction=sf)
+        assert seen[-1].status == "t_end"
+        seed = res.post_roll_states[-1].vector
+        assert np.abs(seen[-1].y[: seed.size] - seed).max() <= 1e-8
+    assert len(seen) == 8
+
+
+def test_unfinished_readout_is_flagged(monkeypatch):
+    # only the readout's solve stops early: the run still balances and
+    # reads off where the solve stopped, flagged with its status
+    seen = _spy_readout(monkeypatch, max_steps=2)
+    res = dem.run_dem(4)
+    assert [out.status for out in seen] == ["max_steps"]
+    assert "readout_max_steps" in res.flags
+    assert "no_balance" not in res.flags
+    assert math.isfinite(res.alpha_upper)
 
 
 def test_partial_stop_fraction_run():
