@@ -2,7 +2,8 @@
 
 Subcommands: gen, alg1, balls, simulate, dem, report. A JSON config file
 (--config) sets the defaults of the chosen subcommand's options, so
-explicit flags win. Exit status 0 on success, 2 on a validation problem.
+explicit flags win; a key that is no subcommand's option is an error.
+Exit status 0 on success, 2 on a validation problem.
 """
 
 from __future__ import annotations
@@ -29,8 +30,6 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "steps": dict(type=int, default=10**6, help="fixed-mode stage-two steps"),
         "r0_offset": dict(type=int, default=2, choices=(1, 2),
                           help="radius back-off for the initial ball"),
-        "stop_fraction": dict(type=float, default=0.5,
-                              help="target red fraction of n"),
         "out": dict(type=str, default=None, help="output directory"),
         "workers": dict(type=int, default=1,
                         help="worker processes (graphs run in parallel)"),
@@ -64,17 +63,17 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="allow loops and parallel edges (single matching pass)")
 
     p = sub.add_parser("alg1", help="greedy partition sweep on fresh graphs")
-    _add(p, "d", "n", "runs", "graphs", "seed", "r0_offset", "stop_fraction",
-         "strategy", "workers", "out")
+    _add(p, "d", "n", "runs", "graphs", "seed", "r0_offset", "strategy",
+         "workers", "out")
 
     p = sub.add_parser("balls", help="ball sizes around the half-n radius")
     _add(p, "d", "n_list", "seed", "strategy", "out")
 
     p = sub.add_parser("simulate", help="matching-exposure simulation sweep")
-    _add(p, "d", "n", "runs", "seed", "stop_fraction", "snapshot_every", "out")
+    _add(p, "d", "n", "runs", "seed", "snapshot_every", "out")
 
     p = sub.add_parser("dem", help="fluid-limit integration per degree")
-    _add(p, "d_list", "eps", "steps", "mode", "stop_fraction", "out")
+    _add(p, "d_list", "eps", "steps", "mode", "out")
 
     p = sub.add_parser("report", help="compare stored records with references")
     p.add_argument("records", type=str, nargs="+",
@@ -84,14 +83,20 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
-def _config_defaults(args: argparse.Namespace) -> dict:
-    """The config file's values for the options of the chosen subcommand."""
+def _config_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
+    """The config file's values for the options of the chosen subcommand.
+    A key may set another subcommand's option, which is dropped, but not
+    one that no subcommand has."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
-    options = _config_dict(args)
     cfg = {key.replace("-", "_"): value for key, value in cfg.items()}
+    known = {a.dest for p in subparsers.values() for a in p._actions} - {"help"}
+    unknown = [key for key in cfg if key not in known]
+    if unknown:
+        raise ValueError(f"config file sets unknown options: {', '.join(unknown)}")
+    options = _config_dict(args)
     return {key: value for key, value in cfg.items() if key in options}
 
 
@@ -102,7 +107,8 @@ def main(argv=None) -> int:
     try:
         if args.config:
             # as defaults, config values lose to any flag argparse parsed
-            subparsers[args.command].set_defaults(**_config_defaults(args))
+            subparsers[args.command].set_defaults(
+                **_config_defaults(args, subparsers))
             args = parser.parse_args(argv)
         return _dispatch(args)
     except (ValueError, OSError) as exc:
@@ -124,8 +130,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "alg1":
         records, summary = experiment.cmd_alg1(
             args.d, args.n, args.runs, args.graphs, args.seed, args.r0_offset,
-            stop_fraction=args.stop_fraction, strategy=args.strategy,
-            workers=args.workers, out=args.out,
+            strategy=args.strategy, workers=args.workers, out=args.out,
         )
         for row in summary["per_graph"]:
             print(f"graph {row['graph']}: avg {row['avg']:.5f}"
@@ -149,7 +154,6 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "simulate":
         records, stats = experiment.cmd_simulate(
             args.d, args.n, args.runs, args.seed,
-            stop_fraction=args.stop_fraction,
             snapshot_every=args.snapshot_every, out=args.out,
         )
         for rec in records:
@@ -162,8 +166,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "dem":
         records, rows = experiment.cmd_dem(
-            args.d_list, args.eps, args.steps, args.mode,
-            stop_fraction=args.stop_fraction, out=args.out,
+            args.d_list, args.eps, args.steps, args.mode, out=args.out,
         )
         print("d,alpha,reference,deviation,flags")
         for row in rows:

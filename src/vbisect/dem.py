@@ -8,10 +8,10 @@ z_d is the untouched pool). Stage one runs in rounds, each solved exactly
 (`ExactRound`) until the red unpaired points fall to DELTA_STOP; then the
 hit whites z_0..z_{d-1} are promoted into the red block and the next
 round starts. Stage one stops mid-round, at the moment the mass a
-promotion would make red (1 - z_d) reaches the target fraction. The
-promotion of that state is the hand-off: it seeds stage two with all of
-the mass, and stage two is one numerically integrated leg, draining the
-low red classes until the balance event. The bound is the width of the
+promotion would make red (1 - z_d) reaches 1/2. The promotion of that
+state is the hand-off: it seeds stage two with all of the mass, and stage
+two is one numerically integrated leg, draining the low red classes until
+the balance event, when the red set less class 1 reaches 1/2. The bound is the width of the
 balanced partition the simulation builds (the red set less class 1), read
 off in the fluid limit by a backward pass from the end of the run (see the
 readout section).
@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .graph import check_degree
 from .integrate import Event, IntResult, solve_adaptive, solve_fixed
 from .pairing import stage_two_low_max
 
@@ -94,7 +95,6 @@ class DemState:
 class DemRunResult:
     d: int
     eps: float
-    stop_fraction: float
     mode: str
     alpha_upper: float
     round_end_states: list = field(default_factory=list)  # stage 1, pre-promotion
@@ -327,9 +327,9 @@ def phase2_init(s: DemState) -> DemState:
 # -- readout: the boundary of the balanced partition -------------------------
 #
 # The half is the red set less class 1, topped up or trimmed to exactly
-# stop_fraction. Its boundary is every vertex of it with an unpaired point,
-# plus every fully paired one with a neighbour outside it (in class 1: every
-# white a red vertex hits turns red), so width = stop_fraction - interior,
+# 1/2. Its boundary is every vertex of it with an unpaired point, plus
+# every fully paired one with a neighbour outside it (in class 1: every
+# white a red vertex hits turns red), so width = 1/2 - interior,
 # where the interior is the fully paired red vertices with every neighbour
 # in the half. That is not a function of the class sizes, but it has a
 # fluid limit: a vertex's unpaired-point count runs as a Markov chain whose
@@ -456,9 +456,9 @@ def _ev_negativity() -> Event:
     return Event(lambda t, y: float(y.min()) + EPS_NEG, direction=-1, name="negativity")
 
 
-def _ev_balance(d: int, frac: float) -> Event:
+def _ev_balance(d: int) -> Event:
     def g(t: float, y: np.ndarray) -> float:
-        return float(y[:d].sum()) - float(y[1]) - frac
+        return float(y[:d].sum()) - float(y[1]) - 0.5
 
     return Event(g, direction=1, name="balance")
 
@@ -510,7 +510,6 @@ def _fixed_leg_grid(leg_steps: int, p_all: float):
 def run_dem(
     d: int,
     eps: float | None = None,
-    stop_fraction: float = 0.5,
     *,
     mode: str = "adaptive",
     steps: int = 10**6,
@@ -520,39 +519,33 @@ def run_dem(
 
     Stage one is solved exactly, round by round (`ExactRound`), in both
     modes; it ends mid-round where a promotion would first make a red mass
-    of stop_fraction. That state is handoff_state, and its promotion, the
-    last of stage one, seeds stage two in the same layout. Stage two is
-    one leg of `rhs_phase2` to the balance event, skipped (flag
-    "balance_at_entry") when the seed already balances. mode and steps
-    act on stage two only: mode "adaptive" uses the embedded 5(4) pair at
-    tight tolerance; mode "fixed" uses classical RK4 on a uniform grid of
-    steps / FIXED_LEG_SHARE steps over a span sized from the point-pool
-    drain. alpha_upper is the boundary of the balanced half over
-    stop_fraction, 1 - interior_mass / stop_fraction, read back over stage
-    two from its end state and then through the rounds. A run that does
-    not balance reads off at the state where it stopped and is flagged
-    "no_balance": stage one capped at MAX_ROUNDS ("round_cap", and no
-    stage two), or a stage-two leg that ends on anything but balance
-    ("stage2_<event or solver status>"). Raises RuntimeError if a
+    of 1/2. That state is handoff_state, and its promotion, the last of
+    stage one, seeds stage two in the same layout. Stage two is one leg of
+    `rhs_phase2` to the balance event, skipped (flag "balance_at_entry")
+    when the seed already balances. mode and steps act on stage two only:
+    mode "adaptive" uses the embedded 5(4) pair at tight tolerance; mode
+    "fixed" uses classical RK4 on a uniform grid of steps / FIXED_LEG_SHARE
+    steps over a span sized from the point-pool drain. alpha_upper is the
+    boundary of the balanced half over 1/2, 1 - 2 * interior_mass, read
+    back over stage two from its end state and then through the rounds. A
+    run that does not balance reads off at the state where it stopped and
+    is flagged "no_balance": stage one capped at MAX_ROUNDS ("round_cap",
+    and no stage two), or a stage-two leg that ends on anything but
+    balance ("stage2_<event or solver status>"). Raises RuntimeError if a
     promotion changes the total mass by more than CLAMP_TOL.
     """
-    if d < 3:
-        raise ValueError("degree must be at least 3")
-    if not 0.0 < stop_fraction <= 0.5:
-        raise ValueError("stop_fraction must be in (0, 0.5]")
+    check_degree(d)
     if eps is None:
         eps = EPS_DEFAULT
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)
 
-    res = DemRunResult(
-        d=d, eps=eps, stop_fraction=stop_fraction, mode=mode, alpha_upper=math.nan
-    )
+    res = DemRunResult(d=d, eps=eps, mode=mode, alpha_upper=math.nan)
     rounds = []  # (ExactRound, the u it stops at)
     leg = None  # stage two's (span, end state)
     state = init_state(d, eps)
     while True:
         rnd = ExactRound(state)
-        u = rnd.stop_u(stop_fraction)
+        u = rnd.stop_u(0.5)
         u = rnd.u_end if u is None else u
         end = rnd.state(u)
         rounds.append((rnd, u))
@@ -565,22 +558,22 @@ def run_dem(
             )
         res.post_roll_states.append(rolled)
         state = rolled  # after the last promotion, the seed of stage two
-        if rolled.red_mass >= stop_fraction:
+        if rolled.red_mass >= 0.5:
             break
         if len(res.round_end_states) >= MAX_ROUNDS:
             res.flags.append("round_cap")
             break
 
-    balance = _ev_balance(d, stop_fraction)
+    balance = _ev_balance(d)
     if "round_cap" in res.flags:  # short of the target: nothing to balance
         res.flags.append("no_balance")
     elif balance(0.0, state.vector) >= 0.0:
         res.flags.append("balance_at_entry")
     else:
-        # one leg to the balance event, red mass less r_1 reaching
-        # stop_fraction. The red mass never falls and starts at least
-        # stop_fraction, and each class-1 vertex holds a low-pool point, so
-        # the event fires no later than the low pool runs dry
+        # one leg to the balance event, red mass less r_1 reaching 1/2.
+        # The red mass never falls and starts at least 1/2, and each
+        # class-1 vertex holds a low-pool point, so the event fires no
+        # later than the low pool runs dry
         h_fixed, t_cap = (
             _fixed_leg_grid(leg_steps, state.points_all)
             if mode == "fixed"
@@ -603,7 +596,7 @@ def run_dem(
     res.final_state = state
     interior, readout_flags = interior_mass(d, eps, rounds, leg)
     res.flags += readout_flags
-    res.alpha_upper = 1.0 - interior / stop_fraction
+    res.alpha_upper = 1.0 - 2.0 * interior
     if not 0.0 < res.alpha_upper <= 1.0:
         res.flags.append("alpha_out_of_range")
     return res

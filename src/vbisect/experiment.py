@@ -41,7 +41,6 @@ class RunRecord:
     width: int = 0
     wall_time_ms: float = 0.0
     flags: str = ""  # what the run reported, ";"-joined
-    stop_fraction: float = 0.5
     strategy: str = ""  # alg1: graph sampling strategy
     mode: str = ""  # dem: stage-two integrator mode
     steps: int = 0  # dem: fixed-mode step budget
@@ -157,36 +156,21 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
         if g is None:
             g = _graph(rec.n, rec.d, base, gi, rec.strategy)
         bis, trace = run_alg1(
-            g,
-            GreedyConfig(
-                r0_offset=rec.r0_offset,
-                seed=_child_seed(base, 2, gi, ri),
-                stop_fraction=rec.stop_fraction,
-            ),
+            g, GreedyConfig(r0_offset=rec.r0_offset, seed=_child_seed(base, 2, gi, ri))
         )
         alpha, width = bis.alpha, bis.width
         flags = ["exhaustion_fallback"] if trace.exhaustion_fallback else []
     elif rec.method == "sim":
         base, si = map(int, rec.seed.split(":"))
-        state, trace2 = run_alg2(
-            rec.n,
-            rec.d,
-            seed=_child_seed(base, 3, si),
-            stop_fraction=rec.stop_fraction,
-            snapshot_every=snapshot_every,
-        )
-        alpha, trace3 = run_alg3(
-            state,
-            seed=_child_seed(base, 4, si),
-            snapshot_every=snapshot_every,
-        )
-        width = round(alpha * rec.n * rec.stop_fraction)
+        state, trace2 = run_alg2(rec.n, rec.d, seed=_child_seed(base, 3, si),
+                                 snapshot_every=snapshot_every)
+        alpha, trace3 = run_alg3(state, seed=_child_seed(base, 4, si),
+                                 snapshot_every=snapshot_every)
+        width = round(alpha * rec.n / 2)
         trace = (trace2, trace3)
         flags = trace2.flags + trace3.flags
     elif rec.method == "dem":
-        trace = dem_mod.run_dem(
-            rec.d, rec.eps, rec.stop_fraction, mode=rec.mode, steps=rec.steps
-        )
+        trace = dem_mod.run_dem(rec.d, rec.eps, mode=rec.mode, steps=rec.steps)
         rec = replace(rec, eps=trace.eps)
         alpha, width, flags = trace.alpha_upper, 0, trace.flags
     else:
@@ -224,7 +208,6 @@ def cmd_alg1(
     seed: int = 0,
     r0_offset: int = 2,
     *,
-    stop_fraction: float = 0.5,
     strategy: str = "rematch",
     workers: int = 1,
     out=None,
@@ -238,7 +221,6 @@ def cmd_alg1(
     if workers < 1:
         raise ValueError(f"workers must be at least 1, got {workers}")
     job = partial(_alg1_graph, RunRecord("alg1", d, n, "", r0_offset, 0.0,
-                                         stop_fraction=stop_fraction,
                                          strategy=strategy), seed, runs)
     if workers > 1 and graphs > 1:
         with concurrent.futures.ProcessPoolExecutor(
@@ -304,15 +286,13 @@ def cmd_dem(
     steps: int = 10**6,
     mode: str = "adaptive",
     *,
-    stop_fraction: float = 0.5,
     out=None,
 ):
     """run_dem per degree plus deviation from the frozen reference value."""
     records, rows = [], []
     for d in d_list:
         rec, result = run_record(
-            RunRecord("dem", d, 0, "", 0, eps, stop_fraction=stop_fraction,
-                      mode=mode, steps=steps)
+            RunRecord("dem", d, 0, "", 0, eps, mode=mode, steps=steps)
         )
         ref = _dem_reference(d)
         records.append(rec)
@@ -340,7 +320,6 @@ def cmd_simulate(
     seeds: int = 5,
     seed: int = 0,
     *,
-    stop_fraction: float = 0.5,
     snapshot_every: int = 0,
     out=None,
 ):
@@ -349,8 +328,7 @@ def cmd_simulate(
     records = []
     for si in range(seeds):
         rec, (trace2, trace3) = run_record(
-            RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0,
-                      stop_fraction=stop_fraction),
+            RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0),
             snapshot_every=snapshot_every,
         )
         records.append(rec)

@@ -54,24 +54,20 @@ class Bisection:
     alpha: float
 
 
+def check_degree(d: int) -> None:
+    """Every route's degree: d at least 3."""
+    if d < 3:
+        raise ValueError(f"degree must be at least 3, got {d}")
+
+
 def check_params(n: int, d: int) -> None:
     """The parameters of a d-regular pairing on n vertices: d at least 3,
     n above d and an even point total n * d."""
-    if d < 3:
-        raise ValueError(f"degree must be at least 3, got {d}")
+    check_degree(d)
     if n < d + 1:
         raise ValueError(f"need at least d+1={d + 1} vertices, got {n}")
     if (n * d) % 2 != 0:
         raise ValueError(f"n*d must be even, got n={n}, d={d}")
-
-
-def check_stop_fraction(n: int, stop_fraction: float) -> None:
-    """The red half holds int(n * stop_fraction) vertices: at least one,
-    and at most half of the graph."""
-    if not 0.0 < stop_fraction <= 0.5:
-        raise ValueError("stop_fraction must be in (0, 0.5]")
-    if int(n * stop_fraction) < 1:
-        raise ValueError(f"n * stop_fraction must be at least 1, got {n} * {stop_fraction}")
 
 
 def _fills(ends: np.ndarray, n: int, d: int) -> bool:

@@ -39,22 +39,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Bisection, RegularGraph, ball_layers, bisection_of
-from .graph import check_stop_fraction, critical_balls
+from .graph import Bisection, RegularGraph, ball_layers, bisection_of, critical_balls
 
 
 @dataclass
 class GreedyConfig:
     r0_offset: int = 2  # radii to back off from the first too-large ball
     seed: int | None = None
-    stop_fraction: float = 0.5
     x0: int | None = None  # fixed start vertex; default uniform random
 
 
 @dataclass
 class GreedyTrace:
     x0: int
-    r_crit: int  # smallest radius whose ball exceeds the target fraction
+    r_crit: int  # smallest radius whose ball exceeds n/2
     b0: int  # |ball(r_crit - 2)|, 0 when the radius is negative
     b1: int  # |ball(r_crit - 1)|
     b2: int  # |ball(r_crit)|
@@ -75,18 +73,16 @@ def run_alg1(
         raise ValueError("the greedy search needs a simple graph")
     if cfg.r0_offset not in (1, 2):
         raise ValueError("r0_offset must be 1 or 2")
-    check_stop_fraction(g.n, cfg.stop_fraction)
     n, d = g.n, g.d
     rng = random.Random(cfg.seed)
     x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)
 
-    limit = n * cfg.stop_fraction
-    target = int(limit)
+    target = n // 2
     # the BFS ends at the critical ball, and rejects an x0 outside the
     # graph; in a component no larger than the target, the fallback fills
     # the rest
-    layers = ball_layers(g, x0, limit)
-    r_crit, b0, b1, b2 = critical_balls(np.cumsum([len(layer) for layer in layers]), limit)
+    layers = ball_layers(g, x0, n / 2)
+    r_crit, b0, b1, b2 = critical_balls(np.cumsum([len(layer) for layer in layers]), n / 2)
     r0 = max(r_crit - cfg.r0_offset, 0)  # at least x0 itself
     ball = np.concatenate(layers[: r0 + 1])
     size_red = seeded = len(ball)

@@ -5,9 +5,9 @@ first point is drawn from the active red pool, a second uniformly from all
 remaining unpaired points, and the pair becomes an edge. Stage one grows
 the red set in rounds (drain the red unpaired points, then promote the
 white vertices that were hit) and stops mid-round once the promotion
-would make stop_fraction of the vertices red; stage two drains the
-low-degree red classes until the red set less class 1 balances, builds
-the balanced partition and reads off its boundary. Both stages follow the
+would make half of the vertices red; stage two drains the low-degree red
+classes until the red set less class 1 balances at n/2, builds the
+balanced partition and reads off its boundary. Both stages follow the
 process that `vbisect.dem` integrates, stage two ends on balance in both,
 and the fluid limit reads off the same boundary. A start vertex whose
 component is smaller than the target leaves stage two nothing to expose:
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import check_params, check_stop_fraction
+from .graph import check_params
 
 __all__ = ["PairingState", "SimTrace", "run_alg2", "run_alg3", "stage_two_low_max"]
 
@@ -111,7 +111,6 @@ class PairingState:
     log, one flat int list u0, v0, u1, v1, ... in exposure order (a
     self-loop is u, u), one pair per step. The invariant
     steps + (points_red + points_white)/2 == n*d/2 holds throughout.
-    stop_fraction is the target both stages stop on; run_alg2 sets it.
 
     Each exposure draws its integers with a getrandbits rejection loop,
     the one `random.Random.randrange` runs, so a seed gives the stream
@@ -140,7 +139,6 @@ class PairingState:
         "edges",
         "steps",
         "phase_count",
-        "stop_fraction",
         "_red",
         "_white",
         "_low",
@@ -161,7 +159,6 @@ class PairingState:
         self.edges: list[int] = []
         self.steps = 0
         self.phase_count = 0
-        self.stop_fraction = 0.5
         # (points per vertex, class list) for classes d..1, top first; the
         # class lists are only ever mutated in place, so these stay valid.
         # _low[m] is the red tail for classes m..1.
@@ -234,9 +231,9 @@ class PairingState:
         the same draws, class moves and counters, bit for bit.
 
         Before each exposure the loop returns "target" once the stage's
-        half reaches n * stop_fraction, then "dry" once the first-point
-        pool is empty. After an exposure it returns None once steps reaches
-        step_bound, so it exposes at least once when both allow it. With
+        half reaches n/2, then "dry" once the first-point pool is empty.
+        After an exposure it returns None once steps reaches step_bound,
+        so it exposes at least once when both allow it. With
         color_on_hit off (stage one) the half is every vertex the next
         promotion would make red, all but the untouched whites; with it on
         (stage two) it is the red set less red class 1, which goes to the
@@ -255,7 +252,7 @@ class PairingState:
         bound = n * d if step_bound is None else step_bound
         push = self.edges.append
         getrandbits = rng.getrandbits
-        target = n * self.stop_fraction
+        target = n / 2
         if color_on_hit:
             lift, out = 0, red_cls[1]
         else:
@@ -430,29 +427,25 @@ def run_alg2(
     d: int,
     seed=None,
     *,
-    stop_fraction: float = 0.5,
     snapshot_every: int = 0,
     stop_after_steps: int | None = None,
 ) -> tuple[PairingState, SimTrace]:
-    """First stage: grow the red set in rounds until it reaches
-    stop_fraction of the vertices.
+    """First stage: grow the red set in rounds until it reaches half of
+    the vertices.
 
     Each round drains the red unpaired points, then the promotion recolors
     every white vertex that has been hit, fully paired or not. The last
     round stops mid-round, after the exposure that brings the number of
     vertices the promotion would make red (every vertex but the untouched
-    whites) to n * stop_fraction; that state is the last entry of
-    trace.round_end_fractions, and promoting it lands the red set on the
-    target, which the state keeps for `run_alg3`. stop_after_steps returns
-    mid-round after that many exposures (used to freeze states for drift
-    tests).
+    whites) to n/2; that state is the last entry of
+    trace.round_end_fractions, and promoting it lands the red set on n/2.
+    stop_after_steps returns mid-round after that many exposures (used to
+    freeze states for drift tests).
     """
     check_params(n, d)
-    check_stop_fraction(n, stop_fraction)
     _check_snapshot_every(snapshot_every)
     rng = random.Random(seed)
     st = PairingState(n, d)
-    st.stop_fraction = stop_fraction
     trace = SimTrace(n=n, d=d)
 
     x0 = rng.randrange(n)
@@ -460,7 +453,7 @@ def run_alg2(
         st._expose_from(rng, x0, color_on_hit=False)
     st._move(x0, 1, 0)
 
-    target = n * stop_fraction
+    target = n / 2
 
     phase = 0
     if snapshot_every:
@@ -520,12 +513,12 @@ def run_alg3(
     """Second stage: drain the low red classes while the hit rule recolors
     white vertices, stop at balance, and price the bisection.
 
-    The loop runs while |red| - |class-1 red| is below the target,
-    n * state.stop_fraction; the first point comes from red classes
-    1..ceil(d/2), the second from all unpaired points, and a white partner
-    turns red on its first hit. It ends on balance, as the fluid limit's
-    stage two does: the red set starts on the target and never shrinks,
-    so while the loop runs class 1 is non-empty. Only a stage one that
+    The loop runs while |red| - |class-1 red| is below the target, n/2;
+    the first point comes from red classes 1..ceil(d/2), the second from
+    all unpaired points, and a white partner turns red on its first hit.
+    It ends on balance, as the fluid limit's stage two does: the red set
+    starts on the target and never shrinks, so while the loop runs class 1
+    is non-empty. Only a stage one that
     ended short ("component_exhausted") has no red point left: the run is
     flagged "red_exhausted" and the half is topped up with uniformly
     chosen outside vertices, each counted as boundary ("fill_arbitrary").
@@ -544,7 +537,7 @@ def run_alg3(
     rng = random.Random(seed)
     trace = SimTrace(n=n, d=d)
     phase = st.phase_count
-    target = n * st.stop_fraction
+    target = n / 2
 
     if snapshot_every:
         trace.snapshot(st, phase)

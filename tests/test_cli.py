@@ -28,20 +28,22 @@ def test_gen_multigraph_flag(tmp_path, capsys):
     assert not g.simple
 
 
-def test_invalid_parameters_exit_two(capsys):
+def test_invalid_parameters_exit_two(tmp_path, capsys):
     simulate = ["simulate", "--d", "4", "--n", "1000", "--runs", "1"]
     for argv in (["gen", "--d", "3", "--n", "7"],
-                 simulate + ["--stop-fraction", "0"],
-                 simulate + ["--stop-fraction", "0.7"],
-                 # n * stop_fraction under one vertex
-                 simulate + ["--stop-fraction", "0.0005"],
                  simulate + ["--snapshot-every", "-5"],
-                 ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "1",
-                  "--stop-fraction", "0.005"],
                  ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "2",
                   "--workers", "0"]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
+    # a config key that is no subcommand's option, a typo or one the tool
+    # no longer has, is named
+    cfg = tmp_path / "cfg.json"
+    for config, key in (({"stop_fracton": 0.3, "degree": 7}, "stop_fracton"),
+                        ({"stop_fraction": 0.3}, "stop_fraction")):
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "dem", "--d", "4"]) == 2, config
+        assert key in capsys.readouterr().err
 
 
 def test_missing_records_file_exits_two(tmp_path, capsys):
@@ -61,17 +63,23 @@ def test_truncated_records_file_exits_two(tmp_path, capsys):
 def test_records_file_in_an_older_layout_names_the_column_difference(
     tmp_path, capsys
 ):
-    # the 15-column layout that still stored a promotion variant per record
+    # the 15-column layout that still stored a promotion variant per
+    # record, and the 14-column one that still stored the red half's
+    # fraction of n
     path = tmp_path / "records.csv"
-    path.write_text(
-        "method,d,n,seed,r0_offset,eps,alpha,width,wall_time_ms,flags,"
-        "stop_fraction,strategy,promote_fully_paired,mode,steps\n"
-        "dem,4,0,,0,1e-05,0.75,0,10.0,,0.5,,True,adaptive,1000000\n"
-    )
-    assert main(["report", str(path)]) == 2
-    err = capsys.readouterr().err
-    assert "extra columns promote_fully_paired" in err
-    assert "missing" not in err
+    head = "method,d,n,seed,r0_offset,eps,alpha,width,wall_time_ms,flags,"
+    row = "dem,4,0,,0,1e-05,0.75,0,10.0,,"
+    for tail, values, extra in (
+        ("stop_fraction,strategy,promote_fully_paired,mode,steps",
+         "0.5,,True,adaptive,1000000", "stop_fraction, promote_fully_paired"),
+        ("stop_fraction,strategy,mode,steps", "0.5,,adaptive,1000000",
+         "stop_fraction"),
+    ):
+        path.write_text(f"{head}{tail}\n{row}{values}\n")
+        assert main(["report", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"extra columns {extra}" in err
+        assert "missing" not in err
 
 
 def test_alg1_snapshot_artifacts(tmp_path, capsys):
@@ -134,7 +142,8 @@ def test_report_merges_multiple_csvs(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n": 60, "seed": 9}))
+    # workers is an option of alg1, not of gen
+    cfg.write_text(json.dumps({"n": 60, "seed": 9, "workers": 2}))
     rc = main(["--config", str(cfg), "gen", "--d", "3",
                "--out", str(tmp_path)])
     assert rc == 0
@@ -144,7 +153,7 @@ def test_config_file_supplies_defaults(tmp_path, capsys):
 
 def test_explicit_flag_beats_config(tmp_path, capsys):
     # --d on dem and --n on balls store to d_list and n_list; --se is an
-    # abbreviation of --seed; a config key "command" names no option
+    # abbreviation of --seed
     cases = [
         ({"n": 60}, ["gen", "--d", "3", "--n", "40", "--seed", "0",
                      "--out", str(tmp_path)], "n40", "n60"),
@@ -152,8 +161,6 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
         ({"n_list": [500]}, ["balls", "--d", "3", "--n", "1000"], "\n1000,", "\n500,"),
         ({"seed": 5}, ["gen", "--d", "3", "--n", "20", "--se", "1",
                        "--out", str(tmp_path)], "s1.txt", "s5.txt"),
-        ({"command": "balls"}, ["gen", "--d", "3", "--n", "20",
-                                "--out", str(tmp_path)], "n20_s0", "B0"),
     ]
     cfg = tmp_path / "cfg.json"
     for config, argv, shown, hidden in cases:
@@ -162,6 +169,12 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
         out = capsys.readouterr().out
         assert rc == 0
         assert shown in out and hidden not in out, argv[0]
+    # the subcommand cannot be switched from a config: "command" is no
+    # option, so the run stops before it starts
+    cfg.write_text(json.dumps({"command": "balls"}))
+    assert main(["--config", str(cfg), "gen", "--d", "3", "--n", "20",
+                 "--out", str(tmp_path)]) == 2
+    assert "command" in capsys.readouterr().err
 
 
 def test_config_must_be_an_object(tmp_path, capsys):

@@ -301,20 +301,16 @@ def test_non_default_configs_replay_bit_exact(tmp_path):
     # each of these alphas differs from the one the default config gives;
     # replay reads the config from the columns a CSV round trip gives back
     records = [
-        cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, stop_fraction=0.3)[0][0],
         cmd_alg1(3, n=60, runs=2, graphs=2, seed=4, strategy="restart")[0][1],
         cmd_alg1(3, n=300, runs=1, graphs=1, seed=9, r0_offset=1)[0][0],
-        cmd_simulate(4, n=300, seeds=1, seed=9, stop_fraction=0.3)[0][0],
-        cmd_dem([4], stop_fraction=0.3)[0][0],
         cmd_dem([4], mode="fixed", steps=20_000)[0][0],
     ]
     path = tmp_path / "records.csv"
     records_to_csv(records, path)
     stored = records_from_csv(path)
     assert stored == records
-    assert [r.stop_fraction for r in stored] == [0.3, 0.5, 0.5, 0.3, 0.3, 0.5]
-    assert stored[1].strategy == "restart" and stored[2].r0_offset == 1
-    assert (stored[5].mode, stored[5].steps) == ("fixed", 20_000)
+    assert stored[0].strategy == "restart" and stored[1].r0_offset == 1
+    assert (stored[2].mode, stored[2].steps) == ("fixed", 20_000)
     for rec in stored:
         assert replay_record(rec) == rec.alpha
 
@@ -326,21 +322,17 @@ def _run_configs(draw):
     d = draw(st.integers(3, 6))
     if method == "dem":
         return RunRecord("dem", d, 0, "", 0, None,
-                         stop_fraction=draw(st.floats(0.0, 0.5, exclude_min=True)),
                          mode=draw(st.sampled_from(["adaptive", "fixed"])),
                          steps=draw(st.sampled_from([2_000, 20_000])))
     n = 2 * draw(st.integers(d + 1, 150))  # n*d even
-    # the red half must hold at least one vertex
-    stop_fraction = draw(st.floats(1 / n, 0.5).filter(lambda f: n * f >= 1))
     base = draw(st.integers(0, 2**32 - 1))
     if method == "sim":
-        return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0,
-                         stop_fraction=stop_fraction)
+        return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0)
     # restart can run out of max_restarts above d = 4
     strategy = draw(st.sampled_from(["rematch", "restart"] if d <= 4 else ["rematch"]))
     gi, ri = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     return RunRecord("alg1", d, n, f"{base}:{gi}:{ri}", draw(st.integers(1, 2)), 0.0,
-                     stop_fraction=stop_fraction, strategy=strategy)
+                     strategy=strategy)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vbisect.graph import (RegularGraph, ball_layers, brute_force_vbw, critical_balls,
@@ -36,12 +36,6 @@ def test_red_half_size_is_floor_of_half():
     g = gen_regular(101, 4, seed=5)
     bis, _ = run_alg1(g, GreedyConfig(seed=1))
     assert int(bis.red.sum()) == 50
-
-
-def test_stop_fraction_sets_red_size():
-    g = gen_regular(1000, 3, seed=2)
-    bis, _ = run_alg1(g, GreedyConfig(seed=3, stop_fraction=0.3))
-    assert int(bis.red.sum()) == 300
 
 
 def test_same_seed_same_partition():
@@ -116,22 +110,10 @@ def test_config_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
         run_alg1(g, GreedyConfig(r0_offset=3))
-    with pytest.raises(ValueError):
-        run_alg1(g, GreedyConfig(stop_fraction=0.0))
-    with pytest.raises(ValueError):
-        run_alg1(g, GreedyConfig(stop_fraction=0.6))
     with pytest.raises(ValueError):  # the greedy needs a simple graph
         run_alg1(gen_regular(10, 3, seed=0, simple=False))
-    # a target half under one vertex
-    g = gen_regular(100, 3, seed=0)
-    for stop_fraction in (0.005, 0.0099):
-        with pytest.raises(ValueError, match="at least 1"):
-            run_alg1(g, GreedyConfig(stop_fraction=stop_fraction))
-    # backing off two radii from radius 1 leaves the ball of x0 alone
-    bis, trace = run_alg1(g, GreedyConfig(stop_fraction=0.01))
-    assert bis.red.nonzero()[0].tolist() == [trace.x0]
-    assert not trace.exhaustion_fallback
     # a start vertex outside the graph
+    g = gen_regular(100, 3, seed=0)
     for x0 in (-1, 100):
         with pytest.raises(ValueError, match="x0"):
             run_alg1(g, GreedyConfig(x0=x0))
@@ -197,10 +179,10 @@ def _alg1_with_choice(g, cfg):
     n, d = g.n, g.d
     rng = random.Random(cfg.seed)
     x0 = cfg.x0 if cfg.x0 is not None else rng.randrange(n)
-    target = int(n * cfg.stop_fraction)
+    target = n // 2
     layers = ball_layers(g, x0)
     r_crit, b0, b1, b2 = critical_balls(
-        np.cumsum([len(layer) for layer in layers]), n * cfg.stop_fraction)
+        np.cumsum([len(layer) for layer in layers]), n / 2)
     ball = np.concatenate(layers[: max(r_crit - cfg.r0_offset, 0) + 1]).tolist()
     adj = g.adjacency.tolist()
     color = [0] * n
@@ -247,13 +229,11 @@ def _alg1_with_choice(g, cfg):
 @settings(max_examples=60, deadline=None)
 @given(d=st.integers(3, 10), half_n=st.integers(3, 80), graph_seed=st.integers(0, 10**6),
        seed=st.integers(0, 10**6), offset=st.sampled_from([1, 2]),
-       frac=st.floats(0.0, 1.0), x0_share=st.none() | st.floats(0.0, 1.0, exclude_max=True))
-def test_phase_two_draws_what_choice_draws(d, half_n, graph_seed, seed, offset, frac, x0_share):
+       x0_share=st.none() | st.floats(0.0, 1.0, exclude_max=True))
+def test_phase_two_draws_what_choice_draws(d, half_n, graph_seed, seed, offset, x0_share):
     n = 2 * half_n + (d + 1) // 2 * 2  # n > d and n*d even
-    stop_fraction = 1 / n + frac * (0.5 - 1 / n)  # down to the one-vertex floor
-    assume(int(n * stop_fraction) >= 1)
     x0 = None if x0_share is None else int(x0_share * n)
-    cfg = GreedyConfig(seed=seed, r0_offset=offset, stop_fraction=stop_fraction, x0=x0)
+    cfg = GreedyConfig(seed=seed, r0_offset=offset, x0=x0)
     g = gen_regular(n, d, seed=graph_seed)
     bis, trace = run_alg1(g, cfg)
     mask, want = _alg1_with_choice(g, cfg)

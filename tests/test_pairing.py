@@ -50,33 +50,33 @@ def _drained_half_red_state(n: int, d: int, rng_seed: int) -> PairingState:
 
 # -- golden pin -------------------------------------------------------------
 
-# (n, d, seed_alg2, seed_alg3, stop_fraction) ->
+# (n, d, seed_alg2, seed_alg3) ->
 # (alpha, steps, phase_count, flags of both stages, sha256 prefixes of
 # bytes(is_red) and of bytes(free)). Any change to the draw order, the
 # point numbering or the promotion order shows here. Each degree runs
-# three seeds at stop_fraction 0.5 and the same seeds at 0.3. The last row
-# is a start vertex whose component is smaller than the target.
+# six seeds, d = 4 seven. The last row is a start vertex whose component is
+# smaller than the target.
 GOLDEN = [
-    ((2000, 3, 1, 101, 0.5), (0.579, 1620, 9, [], '41b6554e9b84661c', 'd164d52cf9f4db06')),
-    ((2000, 3, 2, 102, 0.5), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
-    ((2000, 3, 3, 103, 0.5), (0.585, 1627, 9, [], 'efc6f40f2975c407', '1b51a22d4fd478eb')),
-    ((2000, 3, 1, 101, 0.3), (0.6383333333333333, 855, 8, [], '1223da6e212e9314', 'a0b6c98202291c16')),
-    ((2000, 3, 2, 102, 0.3), (0.6483333333333333, 864, 8, [], 'ecb7ae9a4e462498', 'fb96bb130fd43af8')),
-    ((2000, 3, 3, 103, 0.3), (0.6683333333333333, 910, 8, [], 'd5d24f40019a5807', 'b2719d1f4391a29f')),
-    ((2000, 4, 1, 101, 0.5), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
-    ((2000, 4, 2, 102, 0.5), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
-    ((2000, 4, 3, 103, 0.5), (0.73, 1316, 6, [], '7fd937f2ebfdf009', '4e7b04bf8b9646b3')),
-    ((2000, 4, 1, 101, 0.3), (0.8166666666666667, 779, 6, ['balance_trim'], '5bbc588e986ab713', '3c1728f81c562c19')),
-    ((2000, 4, 2, 102, 0.3), (0.8183333333333334, 760, 6, ['balance_trim'], 'ca4200f0fd07044e', 'bbecc3a22507a526')),
-    ((2000, 4, 3, 103, 0.3), (0.8166666666666667, 765, 6, [], 'd6e56fe7d0676c3a', 'b5fc6f068501921f')),
-    ((2000, 8, 1, 101, 0.5), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
-    ((2000, 8, 2, 102, 0.5), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
-    ((2000, 8, 3, 103, 0.5), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
-    ((2000, 8, 1, 101, 0.3), (0.8916666666666667, 676, 4, [], 'a70d174ea52a2e20', 'a69d4342401b7db0')),
-    ((2000, 8, 2, 102, 0.3), (0.8916666666666667, 672, 4, [], '7bade1e5e3fea489', 'ca202d7d071f39de')),
-    ((2000, 8, 3, 103, 0.3), (0.8933333333333333, 688, 4, [], 'ba790cdc5949c9af', 'b2463cceeda4257d')),
-    ((2000, 4, 7, 107, 0.05), (0.85, 118, 4, [], '717d7639f9eb7a25', '84fcf2e2d3003bb0')),
-    ((8, 3, 34, 35, 0.5), (0.5, 3, 2, ['component_exhausted', 'red_exhausted', 'fill_arbitrary'], '9d834baed97defca', '91d6cb2f2c0d4374')),
+    ((2000, 3, 1, 101), (0.579, 1620, 9, [], '41b6554e9b84661c', 'd164d52cf9f4db06')),
+    ((2000, 3, 2, 102), (0.569, 1645, 9, [], 'fdd392e07267c9b1', '0bd0e980f677bc8f')),
+    ((2000, 3, 3, 103), (0.585, 1627, 9, [], 'efc6f40f2975c407', '1b51a22d4fd478eb')),
+    ((2000, 3, 4, 104), (0.564, 1594, 9, [], '0856e17bb832c325', 'd1c0279e6948ff6f')),
+    ((2000, 3, 5, 105), (0.563, 1498, 10, [], '08f6257f02dd40d8', '80fa7c9f48b6bd89')),
+    ((2000, 3, 6, 106), (0.566, 1627, 9, [], 'bd0661de37b64d45', 'b6d7a637b0ae6918')),
+    ((2000, 4, 1, 101), (0.699, 1307, 6, ['balance_trim'], '3aaeb09b51dc9be9', '0a2db98dfcaf9ba5')),
+    ((2000, 4, 2, 102), (0.702, 1331, 6, ['balance_trim'], 'a56ef3d8eb204892', 'ca8d03942568cc46')),
+    ((2000, 4, 3, 103), (0.73, 1316, 6, [], '7fd937f2ebfdf009', '4e7b04bf8b9646b3')),
+    ((2000, 4, 4, 104), (0.697, 1305, 6, [], '2481a1062b5a75a6', 'e99011332bfabcf5')),
+    ((2000, 4, 5, 105), (0.679, 1278, 7, ['balance_trim'], '9ac6624edead6cb8', 'f1e9618e8ce1e3b4')),
+    ((2000, 4, 6, 106), (0.688, 1330, 6, ['balance_trim'], '28bec9ff61a565f6', '8302d28a8821348d')),
+    ((2000, 4, 7, 107), (0.657, 1241, 6, ['balance_trim'], 'b2170116b81428aa', 'ea39dc2c15513f4a')),
+    ((2000, 8, 1, 101), (0.939, 1259, 4, [], 'a1f0a7a77c926371', 'd2252ebe5d39b593')),
+    ((2000, 8, 2, 102), (0.949, 1298, 4, [], '7f85b5ca3cf69aea', '1d19bf7e9d154ab2')),
+    ((2000, 8, 3, 103), (0.943, 1290, 4, [], '1357a1d01f097015', '0b6ccd437fdcc07f')),
+    ((2000, 8, 4, 104), (0.942, 1249, 4, [], '479d02abd0fc9376', 'f6e435771a21e6a6')),
+    ((2000, 8, 5, 105), (0.955, 1317, 4, [], '71989aa0d5dc9a93', 'd97d9787c389ab20')),
+    ((2000, 8, 6, 106), (0.964, 1342, 4, [], '44f962b5149f5318', 'a4a9af865b702959')),
+    ((8, 3, 34, 35), (0.5, 3, 2, ['component_exhausted', 'red_exhausted', 'fill_arbitrary'], '9d834baed97defca', '91d6cb2f2c0d4374')),
 ]
 
 
@@ -86,8 +86,8 @@ def _digest(values) -> str:
 
 @pytest.mark.parametrize("config, expected", GOLDEN)
 def test_golden_pin(config, expected):
-    n, d, seed2, seed3, stop_fraction = config
-    st, trace2 = run_alg2(n, d, seed=seed2, stop_fraction=stop_fraction)
+    n, d, seed2, seed3 = config
+    st, trace2 = run_alg2(n, d, seed=seed2)
     alpha, trace3 = run_alg3(st, seed=seed3)
     st.check_invariants()
     got = (alpha, st.steps, st.phase_count, trace2.flags + trace3.flags,
@@ -219,7 +219,7 @@ def _exact_state(st: PairingState):
 
 def _stage_by_single_steps(st, rng, step_bound, low_max, color_on_hit):
     """expose_stage written as repeated expose_step calls."""
-    target = st.n * st.stop_fraction
+    target = st.n / 2
     while True:
         if color_on_hit:
             half = st.size_red - len(st.red_cls[1])
@@ -235,7 +235,7 @@ def _stage_by_single_steps(st, rng, step_bound, low_max, color_on_hit):
 
 
 # (d, run_alg2 options, stage two, steps to the bound past the frozen state,
-# stop_fraction set on the state, expected stop)
+# exposures before stage one's end to freeze the run at, expected stop)
 STAGE_CASES = [
     case
     for d in (3, 4, 8)
@@ -247,34 +247,35 @@ STAGE_CASES = [
         # a bound already reached still exposes once
         (d, dict(stop_after_steps=120), False, 0, None, None),
         # the last stage-one round stops on the target
-        (d, dict(stop_fraction=0.2, stop_after_steps=400), False, None, None,
-         "target"),
+        (d, {}, False, None, 5, "target"),
         # stage two ends on balance
         (d, {}, True, None, None, "target"),
         (d, {}, True, 10, None, None),
     )
 ] + [
-    # an unreachable target: the low red pool runs dry
-    (d, {}, True, None, 1.0, "dry")
-    for d in (4, 8)
+    # the start vertex's component is smaller than the target: the low red
+    # pool is dry before stage two exposes anything
+    (3, dict(n=8, seed=34), True, None, None, "dry"),
 ]
 
 
 @pytest.mark.parametrize(
-    "d, alg2_options, stage_two, bound_after, stop_fraction, expected",
+    "d, alg2_options, stage_two, bound_after, before_end, expected",
     STAGE_CASES,
 )
 def test_stage_loop_matches_single_steps(
-    d, alg2_options, stage_two, bound_after, stop_fraction, expected
+    d, alg2_options, stage_two, bound_after, before_end, expected
 ):
     """The stage loop leaves the state, the random stream and the stop
     reason exactly as repeated expose_step calls do."""
     low_max = stage_two_low_max(d) if stage_two else None
+    options = dict(n=2000, d=d, seed=d) | alg2_options
+    if before_end is not None:
+        _, trace = run_alg2(**options)
+        options["stop_after_steps"] = trace.phase_ends[-1] - before_end
     runs = []
     for _ in range(2):
-        st, _ = run_alg2(2000, d, seed=d, **alg2_options)
-        if stop_fraction is not None:
-            st.stop_fraction = stop_fraction
+        st, _ = run_alg2(**options)
         runs.append((st, random.Random(40 + d)))
     (st, rng), (ref, ref_rng) = runs
     steps0 = st.steps
@@ -282,7 +283,10 @@ def test_stage_loop_matches_single_steps(
     got = st.expose_stage(rng, bound, low_max=low_max, color_on_hit=stage_two)
     want = _stage_by_single_steps(ref, ref_rng, bound, low_max, stage_two)
     assert got == want == expected
-    assert st.steps > steps0
+    # a stage exposes at least once unless its pool starts dry, as stage
+    # two's does after the exhausted start
+    exhausted = stage_two and expected == "dry"
+    assert st.steps == steps0 if exhausted else st.steps > steps0
     assert _exact_state(st) == _exact_state(ref)
     assert rng.getstate() == ref_rng.getstate()
     st.check_invariants()
@@ -411,13 +415,6 @@ def test_growth_stops_at_target_fraction():
     assert st.phase_count == len(trace.phase_ends)
 
 
-def test_partial_target_fraction():
-    st, _ = run_alg2(2000, 4, seed=9, stop_fraction=0.25)
-    assert st.size_red >= 500
-    # stage one stops mid-round, so the promotion lands on the target
-    assert st.size_red < 2000
-
-
 @pytest.mark.parametrize("d", [4, 8])
 def test_mid_round_stop_leaves_stage_two_work(d):
     n = 20_000
@@ -437,12 +434,6 @@ def test_validation():
         run_alg2(100, 2, seed=0)
     with pytest.raises(ValueError):
         run_alg2(4, 4, seed=0)
-    for stop_fraction in (0.0, 0.7, -0.5):
-        with pytest.raises(ValueError, match="stop_fraction"):
-            run_alg2(1000, 4, seed=0, stop_fraction=stop_fraction)
-    # a target half under one vertex
-    with pytest.raises(ValueError, match="at least 1"):
-        run_alg2(200, 4, seed=0, stop_fraction=0.004)
     with pytest.raises(ValueError, match="snapshot_every"):
         run_alg2(1000, 4, seed=0, snapshot_every=-5)
     st, _ = run_alg2(1000, 4, seed=0)
@@ -506,14 +497,15 @@ def test_short_component_fills_the_half_arbitrarily():
 
 
 def test_stage_two_stops_on_stage_one_target():
-    # stage two balances on the fraction stage one stopped on, not on 0.5
-    st, _ = run_alg2(4000, 4, seed=0, stop_fraction=0.3)
+    # stage two balances on n/2, where stage one stopped; its last exposure
+    # overshoots by one, so the surplus is trimmed
+    st, _ = run_alg2(4000, 4, seed=0)
     steps0 = st.steps
     alpha, trace = run_alg3(st, seed=100)
     assert st.steps > steps0
-    assert trace.flags == []
-    assert st.size_red - len(st.red_cls[1]) == 1200
-    assert alpha == 0.705
+    assert trace.flags == ["balance_trim"]
+    assert st.size_red - len(st.red_cls[1]) == 2001
+    assert alpha == 0.7925
 
 
 def test_half_size_is_exact_after_balancing():
