@@ -19,20 +19,19 @@ import numpy as np
 RhsFn = Callable[[float, np.ndarray], np.ndarray]
 EventFn = Callable[[float, np.ndarray], float]
 
-# Dormand-Prince 5(4) tableau. c nodes, a coefficients, 5th-order weights b,
-# and the embedded 4th-order weights bh used for the error estimate.
+# Dormand-Prince 5(4) tableau: c nodes, a coefficients as one lower-triangular
+# array (row i gives stage i), 5th-order weights b, and the difference e of b
+# and the embedded 4th-order weights, which is the error estimate's.
 _DP_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_DP_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_DP_A = np.zeros((7, 7))
+_DP_A[1, :1] = [1 / 5]
+_DP_A[2, :2] = [3 / 40, 9 / 40]
+_DP_A[3, :3] = [44 / 45, -56 / 15, 32 / 9]
+_DP_A[4, :4] = [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]
+_DP_A[5, :5] = [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]
+_DP_A[6, :6] = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]
 _DP_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_DP_BH = np.array(
+_DP_E = _DP_B - np.array(
     [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
 )
 
@@ -84,13 +83,11 @@ def _dp54_step(f: RhsFn, t: float, y: np.ndarray, h: float, k1: np.ndarray | Non
     FSAL pair: k7 is f at y5 and serves as the next step's k1; the returned
     k1 lets a rejected step's caller retry without re-evaluating f(t, y).
     """
-    k = np.empty((7, y.size))
+    k = np.zeros((7, y.size))  # rows not yet formed are 0, as are their a's
     k[0] = f(t, y) if k1 is None else k1
     for i in range(1, 7):
-        k[i] = f(t + _DP_C[i] * h, y + h * (_DP_A[i] @ k[:i]))
-    y5 = y + h * (_DP_B @ k)
-    err = h * ((_DP_B - _DP_BH) @ k)
-    return y5, err, k[0].copy(), k[6]
+        k[i] = f(t + _DP_C[i] * h, y + h * _DP_A[i].dot(k))
+    return y + h * _DP_B.dot(k), h * _DP_E.dot(k), k[0], k[6]
 
 
 def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float,
@@ -142,6 +139,15 @@ def _rk4(f: RhsFn):
     return (lambda t, y, h: (_rk4_step(f, t, y, h), h)), trial
 
 
+def _scaling(new: float, old: float) -> float:
+    """Anderson-Bjorck factor for an event's value at the end of the
+    bracket a trial kept, from its values before and after the trial at the
+    end it moved: 1 - new/old, or 1/2 (Illinois) where that is not in
+    (0, 1)."""
+    m = 1.0 - new / old if old else 0.0
+    return m if 0.0 < m < 1.0 else 0.5
+
+
 def _locate(trial, t0: float, h: float, y1: np.ndarray, fired, g0, g1):
     """Locate the first crossing in the step of length h from t0, ending at
     y1. fired holds the (index, event) pairs that fired over the whole step,
@@ -150,9 +156,13 @@ def _locate(trial, t0: float, h: float, y1: np.ndarray, fired, g0, g1):
 
     The bracket [lo, hi] starts as [0, h] and shrinks on "some fired event
     has crossed". Each fired event is tracked by phi = +-g, positive before
-    its crossing. The next trial point is the earliest Illinois regula falsi
+    its crossing. The next trial point is the earliest regula falsi
     estimate over the events that have crossed at hi, kept T_TOL/2 clear of
-    both ends, so a sharp estimate closes the bracket on the next trial. As
+    both ends, so a sharp estimate closes the bracket on the next trial.
+    When a trial moves the same end as the trial before it, or is the
+    first, the values at the end it kept are scaled down as in Anderson
+    and Bjorck (BIT 13, 1973), so a one-sided approach, as on a strongly
+    curved event, crosses over within a trial or two. As
     in ITP (Oliveira and Takahashi, ACM TOMS 47, 2021), it is then projected
     into a radius about the midpoint that still lets the bracket reach
     T_TOL within LOCATE_SLACK trials of bisection's count, whatever the
@@ -183,14 +193,14 @@ def _locate(trial, t0: float, h: float, y1: np.ndarray, fired, g0, g1):
         y = trial(x)
         p = phi(x, y)
         if any(v <= 0.0 for v in p):
+            if kept >= 0:  # lo kept twice, the step's ends counting as kept once
+                p_lo = [_scaling(a, b) * v for a, b, v in zip(p, p_hi, p_lo)]
             hi, y_hi, p_hi = x, y, p
-            if kept > 0:  # lo kept twice: halve its values (Illinois)
-                p_lo = [0.5 * v for v in p_lo]
             kept = 1
         else:
+            if kept <= 0:
+                p_hi = [_scaling(a, b) * v for a, b, v in zip(p, p_lo, p_hi)]
             lo, p_lo = x, p
-            if kept < 0:
-                p_hi = [0.5 * v for v in p_hi]
             kept = -1
     ev = next(ev for (_, ev), v in zip(fired, p_hi) if v <= 0.0)
     return t0 + hi, y_hi, ev
@@ -241,6 +251,26 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
     return res
 
 
+def _first_step(f: RhsFn, t0: float, y0: np.ndarray, span: float,
+                rtol: float, atol: float) -> float:
+    """Starting step of a DP54 solve, by the rule of Hairer, Norsett and
+    Wanner (Solving ODEs I, II.4): with norms scaled as the error norm's,
+    a trial h0 = 0.01 |y0| / |f0| makes one Euler step, and h is the size
+    at which a 5th-power error estimate from |f0| and the change in f over
+    h0 would be 0.01, at most 100 h0 and at most span. h0 falls back to
+    1e-6 when y0 or f0 is zero (scaled norm under 1e-5). Costs two calls
+    of f."""
+    y0 = np.asarray(y0, dtype=float)
+    scale = atol + rtol * np.abs(y0)
+    f0 = f(t0, y0)
+    d0, d1 = np.abs(y0 / scale).max(), np.abs(f0 / scale).max()
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, span)
+    d2 = np.abs((f(t0 + h0, y0 + h0 * f0) - f0) / scale).max() / h0
+    rate = max(d1, d2)
+    h1 = (0.01 / rate) ** 0.2 if rate > 1e-15 else max(1e-6, 1e-3 * h0)
+    return float(min(100.0 * h0, h1, span))
+
+
 def solve_adaptive(
     f: RhsFn,
     t0: float,
@@ -254,8 +284,8 @@ def solve_adaptive(
 ) -> IntResult:
     """Integrate y' = f(t, y) with DP54, stopping at t_end or the first
     event; see `_drive` for max_steps."""
-    stepper = _dp54(f, rtol, atol)
-    return _drive(stepper, t0, y0, t_end, 1e-6, events, max_steps)
+    h = _first_step(f, t0, y0, t_end - t0, rtol, atol) if t_end > t0 else 0.0
+    return _drive(_dp54(f, rtol, atol), t0, y0, t_end, h, events, max_steps)
 
 
 def solve_fixed(

@@ -33,6 +33,10 @@ ALPHA_PINNED = {
     10: 0.8576948202135218,
 }
 PHASES_PINNED = {3: 16, 4: 10, 5: 8, 6: 7, 7: 7, 8: 6, 9: 6, 10: 6}
+# Stage two's accepted DP54 steps at default settings. Each solve starts at
+# an estimated step; from a fixed first step of 1e-6 they were
+# 38/37/39/44/4/11/3/1, and none may go back above that.
+STEPS_PINNED = {3: 33, 4: 32, 5: 34, 6: 40, 7: 1, 8: 7, 9: 1, 10: 1}
 FLAGS_PINNED = {d: [] for d in range(3, 11)}
 
 
@@ -165,6 +169,55 @@ def test_exact_round_pull_back_matches_backward_solve(d, at_end):
         assert s0.vector @ h_start == pytest.approx(
             rnd.state(u).vector @ h_end, abs=1e-12
         )
+
+
+def _backward_rhs_oracle(d, low_max, color_on_hit):
+    """Reference for `dem._backward_rhs`: the equations of the readout
+    section term by term, one numpy call each."""
+    pts, down, first = dem._leg_layout(d, low_max, color_on_hit)
+    size = pts.size
+
+    def g(y, x):
+        w = pts * np.maximum(y, 0.0)
+        p_all = max(float(w.sum()), dem.DELTA_STOP)
+        p_first = max(float(w @ first), dem.DELTA_STOP)
+        h, k = x[:size], x[size:]
+        h_dn, k_dn = h[down], k[down]
+        h1 = float(w @ h_dn) / p_all
+        h2 = float((w * first) @ h_dn) / p_first
+        a = pts * first / p_first
+        b = pts / p_all
+        dh = (a + b) * (h_dn - h)
+        dk = a * (h1 * k_dn - k) + b * (h2 * k_dn - k)
+        return np.concatenate([dh, dk])
+
+    return g
+
+
+@pytest.mark.parametrize("d", range(3, 11))
+@pytest.mark.parametrize("stage", ["one", "two", "fallback"])
+def test_backward_rhs_matches_the_oracle(d, stage):
+    # on random states with negative entries (the clamp), an empty
+    # first-point pool (its DELTA_STOP floor) and an empty state (both
+    # floors), and random [h, k]
+    low_max, color_on_hit = {"one": (d, False), "two": (stage_two_low_max(d), True),
+                             "fallback": (d, True)}[stage]
+    pts, _, first = dem._leg_layout(d, low_max, color_on_hit)
+    g = dem._backward_rhs(d, low_max, color_on_hit)
+    oracle = _backward_rhs_oracle(d, low_max, color_on_hit)
+    rng = np.random.default_rng([80 + d, len(stage)])
+    n = 2 * d + 1
+    for _ in range(20):
+        y = rng.uniform(0.0, 0.3, n)
+        y[rng.choice(n, 2, replace=False)] = rng.uniform(-0.05, 0.0, 2)
+        dry = np.where(first > 0, rng.uniform(-1e-9, 1e-12, n), y)
+        empty = rng.uniform(-1e-9, 1e-12, n)
+        assert pts * first @ np.maximum(dry, 0.0) < dem.DELTA_STOP
+        assert pts @ np.maximum(empty, 0.0) < dem.DELTA_STOP
+        for state in (y, dry, empty):
+            x = rng.uniform(0.0, 1.0, 2 * n)
+            want = oracle(state, x)
+            assert np.abs(g(state, x) - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_stop_is_the_first_crossing_of_the_target():
@@ -360,6 +413,7 @@ def test_full_run_end_values_are_stable(d, dem_adaptive):
     assert res.alpha_upper == pytest.approx(ALPHA_PINNED[d], abs=1e-6)
     assert res.phase_count == PHASES_PINNED[d]
     assert res.flags == FLAGS_PINNED[d]
+    assert res.n_steps == STEPS_PINNED[d]
 
 
 @pytest.mark.parametrize("d", [7, 8, 9, 10])

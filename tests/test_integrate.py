@@ -48,6 +48,51 @@ def test_adaptive_harmonic_half_period():
     assert abs(res.y[1] + 1.0) < 1e-8
 
 
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_adaptive_exponential_meets_tolerance(sign):
+    res = solve_adaptive(lambda t, y: sign * y, 0.0, np.array([1.0]), 1.0, rtol=1e-10)
+    assert res.status == "t_end"
+    assert abs(res.y[0] - math.exp(sign)) <= 1e-9 * math.exp(sign)
+
+
+def _first_step_probe(f, y0, span, rtol=1e-10, atol=1e-12):
+    """The starting step for y' = f from t = 0 over span, and the times at
+    which it evaluated f."""
+    seen = []
+
+    def spy(t, y):
+        seen.append(t)
+        return f(t, y)
+
+    y0 = np.asarray(y0, dtype=float)
+    return integrate._first_step(spy, 0.0, y0, span, rtol, atol), seen
+
+
+def test_first_step_is_capped_at_the_span():
+    for f in (lambda t, y: -y, _harmonic, lambda t, y: 1e-9 * y):
+        for span in (1e-20, 1e-9, 1e-3, 1.0, 1e3):
+            h, seen = _first_step_probe(f, [1.0, 0.5], span)
+            assert 0.0 < h <= span and len(seen) == 2
+            assert seen[1] <= span
+    # a solve over a span shorter than the estimate takes one step
+    res = solve_adaptive(lambda t, y: -y, 0.0, np.array([1.0]), 1e-4)
+    assert (res.n_steps, res.n_rejected, res.t) == (1, 0, 1e-4)
+
+
+def test_first_step_falls_back_on_a_zero_state_or_derivative():
+    # the trial Euler step is 1e-6 when y0 or f0 is zero; with nothing
+    # moving, the step stays there
+    for f, y0 in ((lambda t, y: np.ones(2), [0.0, 0.0]),
+                  (lambda t, y: np.zeros(2), [1.0, 2.0]),
+                  (lambda t, y: np.zeros(2), [0.0, 0.0])):
+        h, seen = _first_step_probe(f, y0, 1.0)
+        assert seen == [0.0, 1e-6]
+        assert 1e-6 <= h <= 1e-4
+    assert _first_step_probe(lambda t, y: np.zeros(1), [1.0], 1.0)[0] == 1e-6
+    h, seen = _first_step_probe(lambda t, y: -y, [1.0], 1.0)
+    assert seen[1] > 1e-6 and h > 1e-3
+
+
 def test_fixed_grid_is_fourth_order():
     # halving h on the logistic problem should cut the error ~16x
     exact = 1.0 / (1.0 + 4.0 * math.exp(-2.0))
@@ -147,9 +192,9 @@ def _locating(monkeypatch, solver, f, y0, t_end, events, **kw):
     """Solve from t = 0 with a counting rhs and a spy on `_locate`.
 
     Returns the result, the rhs calls spent locating (the total less the
-    calls its steps account for: DP54 makes 7 on the first attempt and 6
-    on each later one, RK4 4 a step), and the searched step as (trial, t0,
-    h, fired)."""
+    calls its steps account for: DP54 makes 7 on the first attempt, and 2
+    more for its starting step, and 6 on each later one, RK4 4 a step), and
+    the searched step as (trial, t0, h, fired)."""
     calls = [0]
 
     def counted(t, y):
@@ -167,7 +212,7 @@ def _locating(monkeypatch, solver, f, y0, t_end, events, **kw):
     res = _solve(solver, counted, 0.0, np.asarray(y0, dtype=float), t_end, events, **kw)
     assert res.status == "event" and len(seen) == 1, solver
     if solver == "adaptive":
-        stepping = 7 + 6 * (res.n_steps + res.n_rejected - 1)
+        stepping = 2 + 7 + 6 * (res.n_steps + res.n_rejected - 1)
     else:
         stepping = 4 * res.n_steps
     return res, calls[0] - stepping, seen[0]
