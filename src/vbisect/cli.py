@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from . import experiment
-from .graph import gen_regular, save_edge_list
+from .graph import STRATEGIES, gen_regular, save_edge_list
 
 
 def _add(parser: argparse.ArgumentParser, *names: str) -> None:
@@ -33,10 +33,11 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "out": dict(type=str, default=None, help="output directory"),
         "workers": dict(type=int, default=1,
                         help="worker processes (graphs run in parallel)"),
-        "strategy": dict(type=str, default="rematch",
-                         choices=("rematch", "restart"),
-                         help="simple-graph sampling strategy: restart is"
-                              " uniform, rematch is faster but not uniform"),
+        "strategy": dict(type=str, default="rematch", choices=STRATEGIES,
+                         help="graph sampler: restart is a uniform simple"
+                              " graph, rematch a faster but not uniform one,"
+                              " pairing the raw pairing with its loops and"
+                              " parallel edges"),
         "mode": dict(type=str, default="adaptive",
                      choices=("adaptive", "fixed"), help="stage-two integrator mode"),
         "snapshot_every": dict(type=int, default=0,
@@ -59,8 +60,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = sub.add_parser("gen", help="sample a random regular graph to an edge list")
     _add(p, "d", "n", "seed", "strategy", "out")
-    p.add_argument("--multi", action="store_true",
-                   help="allow loops and parallel edges (single matching pass)")
 
     p = sub.add_parser("alg1", help="greedy partition sweep on fresh graphs")
     _add(p, "d", "n", "runs", "graphs", "seed", "r0_offset", "strategy",
@@ -118,8 +117,7 @@ def main(argv=None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "gen":
-        g = gen_regular(args.n, args.d, seed=args.seed,
-                        simple=not args.multi, strategy=args.strategy)
+        g = gen_regular(args.n, args.d, seed=args.seed, strategy=args.strategy)
         out_dir = Path(args.out) if args.out else Path(".")
         out_dir.mkdir(parents=True, exist_ok=True)
         path = out_dir / f"regular_d{args.d}_n{args.n}_s{args.seed}.txt"

@@ -41,7 +41,7 @@ class RunRecord:
     width: int = 0
     wall_time_ms: float = 0.0
     flags: str = ""  # what the run reported, ";"-joined
-    strategy: str = ""  # alg1: graph sampling strategy
+    strategy: str = ""  # alg1: `gen_regular`'s sampler, "pairing" for multigraphs
     mode: str = ""  # dem: stage-two integrator mode
     steps: int = 0  # dem: fixed-mode step budget
 
@@ -139,7 +139,9 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
 
 
 def _graph(n: int, d: int, base: int, gi: int, strategy: str) -> RegularGraph:
-    """Graph gi of an alg1 sweep with base seed base."""
+    """Graph gi of an alg1 sweep with base seed base, drawn by strategy:
+    a simple graph for "rematch" and "restart", the raw pairing for
+    "pairing"."""
     return gen_regular(n, d, seed=_child_seed(base, 1, gi), strategy=strategy)
 
 
@@ -213,8 +215,11 @@ def cmd_alg1(
     out=None,
 ):
     """graphs fresh graphs x runs greedy executions, in job order (graph,
-    then run); per-graph avg/max/min plus the grand mean. A job is one
-    graph (`_alg1_graph`), so a process holds one graph's rows at a time.
+    then run); per-graph avg/max/min plus the grand mean. strategy is
+    `gen_regular`'s: "pairing" runs the greedy on the raw pairing, loops
+    and parallel edges kept, which is Alg 1's pairing-model route. A job
+    is one graph (`_alg1_graph`), so a process holds one graph's rows at a
+    time.
     workers > 1 runs the jobs in a process pool, in parallel across graphs,
     and only scalars reach a worker; the records are the same either way.
     The pool starts at most one process per graph."""

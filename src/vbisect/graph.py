@@ -1,8 +1,8 @@
 """Random regular graphs and vertex bisection measurements.
 
 Graphs are stored as a dense (n, d) neighbor table, which keeps the
-downstream search loops allocation-free. Multigraphs are allowed when
-simple=False: a repeated neighbor entry is a parallel edge and a vertex
+downstream search loops allocation-free. The "pairing" strategy keeps
+multigraphs: a repeated neighbor entry is a parallel edge and a vertex
 listed in its own row is a self-loop (each loop fills two slots).
 """
 
@@ -15,6 +15,8 @@ from functools import cached_property
 import numpy as np
 
 BRUTE_FORCE_MAX_N = 20
+STRATEGIES = ("rematch", "restart", "pairing")  # `gen_regular`'s samplers
+MAX_RESTARTS = 2000  # attempts restart and rematch make before giving up
 
 
 @dataclass(eq=False)
@@ -128,6 +130,12 @@ def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
     return np.searchsorted(sorted_keys, keys, "right") > np.searchsorted(sorted_keys, keys)
 
 
+def _try_restart(n: int, d: int, rng: np.random.Generator):
+    """One full stub pairing if it is simple, else None."""
+    pairs = _pairing_pass(n, d, rng)
+    return pairs if _pairs_simple(pairs, n) else None
+
+
 def _try_rematch(n: int, d: int, rng: np.random.Generator):
     """Pair stubs, keep the valid edges, reshuffle the defective stubs.
 
@@ -170,49 +178,34 @@ def _try_rematch(n: int, d: int, rng: np.random.Generator):
     return np.concatenate(kept)
 
 
-def gen_regular(
-    n: int,
-    d: int,
-    seed=None,
-    *,
-    simple: bool = True,
-    strategy: str = "rematch",
-    max_restarts: int = 2000,
-) -> RegularGraph:
+def gen_regular(n: int, d: int, seed=None, *, strategy: str = "rematch") -> RegularGraph:
     """Sample a d-regular graph on n vertices from the uniform pairing.
 
-    simple=True asks for no loops or parallel edges. "restart" redraws the
-    entire pairing until a simple one appears: exact rejection sampling, so
-    uniform, but only practical for small d. "rematch" re-pairs only the
-    defective stubs and restarts on the rare dead end (fast at any scale)
-    but is biased: K_{3,3} makes 0.152 of 6-vertex cubic graphs against
-    1/7. Both raise RuntimeError at max_restarts. A row lists its
-    neighbors in the order of their pairs: as drawn for restart and
-    multigraphs, as kept for rematch.
+    "pairing" returns one stub pairing as drawn, loops and parallel edges
+    kept: the configuration model's own output. The other two ask for a
+    simple graph. "restart" redraws the entire pairing until a simple one
+    appears: exact rejection sampling, so uniform, but only practical for
+    small d. "rematch" re-pairs only the defective stubs and restarts on
+    the rare dead end (fast at any scale) but is biased: K_{3,3} makes
+    0.152 of 6-vertex cubic graphs against 1/7. Both raise RuntimeError
+    after MAX_RESTARTS attempts. A row lists its neighbors in the order of
+    their pairs: as drawn for pairing and restart, as kept for rematch.
     """
     check_params(n, d)
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     rng = np.random.default_rng(seed)
 
-    if not simple:
+    if strategy == "pairing":
         pairs = _pairing_pass(n, d, rng)
         return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), False)
-
-    if strategy == "restart":
-        for _ in range(max_restarts):
-            pairs = _pairing_pass(n, d, rng)
-            if _pairs_simple(pairs, n):
-                return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), True)
-        raise RuntimeError(
-            f"no simple pairing in {max_restarts} restarts (n={n}, d={d}); "
-            "use strategy='rematch'"
-        )
-    if strategy == "rematch":
-        for _ in range(max_restarts):
-            pairs = _try_rematch(n, d, rng)
-            if pairs is not None:
-                return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), True)
-        raise RuntimeError(f"rematch failed {max_restarts} times (n={n}, d={d})")
-    raise ValueError(f"unknown strategy {strategy!r}")
+    attempt = _try_restart if strategy == "restart" else _try_rematch
+    for _ in range(MAX_RESTARTS):
+        pairs = attempt(n, d, rng)
+        if pairs is not None:
+            return RegularGraph(n, d, _adjacency_from_pairs(n, d, pairs), True)
+    raise RuntimeError(
+        f"{strategy} found no simple graph in {MAX_RESTARTS} attempts (n={n}, d={d})")
 
 
 def ball_layers(g: RegularGraph, x0: int, cap: float | None = None) -> list[np.ndarray]:

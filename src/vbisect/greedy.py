@@ -5,15 +5,20 @@ exceed the target half, then backs off a configurable number of radii.
 Stage two repeatedly picks a red vertex with the fewest uncovered
 neighbors (at least one) and colors one of those neighbors, until the red
 set reaches the target size. A bucket queue keyed by uncovered-neighbor
-count keeps the whole run at O(d*n).
+count keeps the whole run at O(d*n). Any graph `gen_regular` draws will
+do, the raw pairing's loops and parallel edges included: neighbors count
+once per point, so a parallel edge to a white vertex counts as two
+uncovered neighbors and a loop as none.
 
 Phase two keeps one key list: key[v] is 0 for a white vertex and 1 + its
 uncovered-neighbor count for a red one, so a neighbor's color and count are
 one read. The buckets are indexed by key, 2..d+1; a red vertex with no
 uncovered neighbor (key 1) is never drawn or moved again, so it is not kept.
-After a step from bucket lo that colors w, every moved vertex sits at most
-one bucket lower and w sits in bucket key[w], so the next scan for the
-lowest non-empty bucket starts at min(lo - 1, key[w]), not at the bottom.
+A cursor lo stays at or below the lowest non-empty bucket: a vertex that
+joins a bucket below lo lowers it, and the scan for the lowest non-empty
+bucket starts there, not at the bottom. A red vertex joined to w by a
+parallel edge drops once per slot, two or more buckets in one step, which
+is why the cursor follows each join rather than falling one per step.
 Only the ball's outer layer can have an uncovered neighbor, so the seeding
 counts and buckets that layer alone; the interior is marked red in bulk.
 The red set is also kept as a bytearray, written once per step and never
@@ -69,8 +74,6 @@ def run_alg1(
     g: RegularGraph, config: GreedyConfig | None = None
 ) -> tuple[Bisection, GreedyTrace]:
     cfg = config or GreedyConfig()
-    if not g.simple:
-        raise ValueError("the greedy search needs a simple graph")
     if cfg.r0_offset not in (1, 2):
         raise ValueError("r0_offset must be 1 or 2")
     n, d = g.n, g.d
@@ -165,11 +168,11 @@ def run_alg1(
                     b = buckets[k]
                     pos[u] = len(b)
                     b.append(u)
-            else:
+                    if k < lo:
+                        lo = k
+            elif u != w:  # a loop at w covers no neighbor
                 k_w += 1
         key[w] = k_w
-        # every moved vertex sits at most one bucket lower, and w in k_w
-        lo -= 1
         if k_w > 1:
             b = buckets[k_w]
             pos[w] = len(b)

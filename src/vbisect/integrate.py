@@ -105,12 +105,11 @@ def _rk4_step(f: RhsFn, t: float, y: np.ndarray, h: float,
 # event location. It evaluates f(t, y) once, for all of its calls.
 
 
-def _dp54(f: RhsFn, rtol: float, atol: float):
+def _dp54(f: RhsFn, rtol: float, atol: float, k1: np.ndarray | None):
     """Adaptive DP54 stepper: error control, rejection, and FSAL reuse of
-    f at the last accepted point. The error norm is the max over entries,
-    so entries that never move (as z_0..z_{d-1} in stage two) leave the
-    tolerance alone."""
-    k1 = None
+    f at the last accepted point; k1 is f at the first step's start, or
+    None to evaluate it there. The error norm is the max over entries, so entries that never
+    move (as z_0..z_{d-1} in stage two) leave the tolerance alone."""
 
     def step(t: float, y: np.ndarray, h: float):
         nonlocal k1
@@ -252,9 +251,10 @@ def _drive(stepper, t0, y0, t_end, h, events, max_steps) -> IntResult:
 
 
 def _first_step(f: RhsFn, t0: float, y0: np.ndarray, span: float,
-                rtol: float, atol: float) -> float:
+                rtol: float, atol: float) -> tuple[float, np.ndarray]:
     """Starting step of a DP54 solve, by the rule of Hairer, Norsett and
-    Wanner (Solving ODEs I, II.4): with norms scaled as the error norm's,
+    Wanner (Solving ODEs I, II.4), and f0 = f(t0, y0), which the first
+    DP54 attempt reuses as its k1. With norms scaled as the error norm's,
     a trial h0 = 0.01 |y0| / |f0| makes one Euler step, and h is the size
     at which a 5th-power error estimate from |f0| and the change in f over
     h0 would be 0.01, at most 100 h0 and at most span. h0 falls back to
@@ -268,7 +268,7 @@ def _first_step(f: RhsFn, t0: float, y0: np.ndarray, span: float,
     d2 = np.abs((f(t0 + h0, y0 + h0 * f0) - f0) / scale).max() / h0
     rate = max(d1, d2)
     h1 = (0.01 / rate) ** 0.2 if rate > 1e-15 else max(1e-6, 1e-3 * h0)
-    return float(min(100.0 * h0, h1, span))
+    return float(min(100.0 * h0, h1, span)), f0
 
 
 def solve_adaptive(
@@ -284,8 +284,9 @@ def solve_adaptive(
 ) -> IntResult:
     """Integrate y' = f(t, y) with DP54, stopping at t_end or the first
     event; see `_drive` for max_steps."""
-    h = _first_step(f, t0, y0, t_end - t0, rtol, atol) if t_end > t0 else 0.0
-    return _drive(_dp54(f, rtol, atol), t0, y0, t_end, h, events, max_steps)
+    h, f0 = (_first_step(f, t0, y0, t_end - t0, rtol, atol) if t_end > t0
+             else (0.0, None))
+    return _drive(_dp54(f, rtol, atol, f0), t0, y0, t_end, h, events, max_steps)
 
 
 def solve_fixed(

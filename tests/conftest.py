@@ -37,16 +37,35 @@ def dem_fixed():
     return out
 
 
+# the degrees and the first graphs x runs of each sweep that criterion 10 reads
+KEPT_DEGREES, KEPT = (3, 4, 6, 10), 3
+
+
 @pytest.fixture(scope="session")
 def alg1_batches():
-    """Greedy sweeps at n=1e5, 5 graphs x 5 runs each, base seed 0."""
+    """Greedy sweeps at n=1e5, 5 graphs x 5 runs each, base seed 0: per
+    degree (records, summary, seconds, kept). kept holds (graph,
+    bisection, trace) of graphs 0..KEPT-1 x runs 0..KEPT-1 at KEPT_DEGREES,
+    caught on their way out of `experiment.run_alg1`, in job order."""
+    run_alg1 = experiment.run_alg1
+    seeds = {experiment._child_seed(0, 2, gi, ri) for gi in range(KEPT) for ri in range(KEPT)}
     out = {}
     for d in range(3, 11):
-        t0 = time.perf_counter()
-        records, summary = experiment.cmd_alg1(
-            d, n=100_000, runs=5, graphs=5, seed=0
-        )
-        out[d] = (records, summary, time.perf_counter() - t0)
+        kept = []
+
+        def keep(g, config):
+            bis, trace = run_alg1(g, config)
+            if d in KEPT_DEGREES and config.seed in seeds:
+                kept.append((g, bis, trace))
+            return bis, trace
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(experiment, "run_alg1", keep)
+            t0 = time.perf_counter()
+            records, summary = experiment.cmd_alg1(
+                d, n=100_000, runs=5, graphs=5, seed=0
+            )
+            out[d] = (records, summary, time.perf_counter() - t0, kept)
     return out
 
 

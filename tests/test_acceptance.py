@@ -44,7 +44,7 @@ def test_criterion_2_degree_three_bound(dem_adaptive, criterion_log):
 def test_criterion_3_greedy_batch_means(alg1_batches, criterion_log):
     fails = []
     for d in range(3, 11):
-        _, summary, secs = alg1_batches[d]
+        _, summary, secs, _ = alg1_batches[d]
         ref = reference.GREEDY_MEAN_ALPHA_N1E5[d]
         if abs(summary["grand_mean"] - ref) > 0.01:
             fails.append(f"d={d} mean {summary['grand_mean']:.5f} want {ref}")
@@ -56,7 +56,7 @@ def test_criterion_3_greedy_batch_means(alg1_batches, criterion_log):
 
 
 def test_criterion_4_two_radius_backoff_wins(alg1_batches, criterion_log):
-    records_2, summary_2, _ = alg1_batches[4]
+    records_2, summary_2, _, _ = alg1_batches[4]
     records_1, summary_1 = experiment.cmd_alg1(
         4, n=100_000, runs=5, graphs=5, seed=0, r0_offset=1
     )
@@ -259,35 +259,59 @@ def _white_profile(d, W0, x0, W):
     return np.array([W * math.comb(d, i) * x**i * (1 - x) ** (d - i) for i in range(d + 1)])
 
 
-def test_criterion_10_white_profile_is_priority_free(criterion_log):
+def test_criterion_10_white_profile_is_priority_free(alg1_batches, criterion_log):
     """The greedy's final white profile on real graphs against the closed
     form, each run read from its own seeded ball; 3 graphs x 3 runs of
-    the criterion 3 sweep per degree. Single runs stray up to about 3e-3,
-    so the gate is on the 9-run means."""
+    the criterion 3 sweep per degree, as its fixture kept them. Single
+    runs stray up to about 3e-3, so the gate is on the 9-run means."""
     t0 = time.perf_counter()
     n, tol = 100_000, 2e-3
     fails, gaps = [], []
     for d in (3, 4, 6, 10):
         observed, predicted = [], []
-        for gi in range(3):
-            g = experiment._graph(n, d, 0, gi, "rematch")
-            for ri in range(3):
-                bis, trace = run_alg1(g, GreedyConfig(seed=experiment._child_seed(0, 2, gi, ri)))
-                layers = ball_layers(g, trace.x0, n / 2)
-                ball = np.concatenate(layers[: max(trace.r_crit - 2, 0) + 1])
-                in_ball = np.zeros(n, dtype=bool)
-                in_ball[ball] = True
-                W0 = 1 - len(ball) / n
-                E0 = np.count_nonzero(~in_ball[g.adjacency[ball]]) / n
-                white = ~bis.red
-                W = np.count_nonzero(white) / n
-                reds = np.count_nonzero(bis.red[g.adjacency[white]], axis=1)
-                observed.append(np.bincount(reds, minlength=d + 1) / n)
-                predicted.append(_white_profile(d, W0, E0 / (d * W0), W))
+        kept = alg1_batches[d][3]
+        assert len(kept) == 9
+        for g, bis, trace in kept:
+            layers = ball_layers(g, trace.x0, n / 2)
+            ball = np.concatenate(layers[: max(trace.r_crit - 2, 0) + 1])
+            in_ball = np.zeros(n, dtype=bool)
+            in_ball[ball] = True
+            W0 = 1 - len(ball) / n
+            E0 = np.count_nonzero(~in_ball[g.adjacency[ball]]) / n
+            white = ~bis.red
+            W = np.count_nonzero(white) / n
+            reds = np.count_nonzero(bis.red[g.adjacency[white]], axis=1)
+            observed.append(np.bincount(reds, minlength=d + 1) / n)
+            predicted.append(_white_profile(d, W0, E0 / (d * W0), W))
         gap = float(np.max(np.abs(np.mean(observed, axis=0) - np.mean(predicted, axis=0))))
         gaps.append(f"d={d} gap {gap:.1e}")
         if gap > tol:
             fails.append(f"d={d} mean white profile off the closed form by {gap:.1e}")
     detail = "; ".join(fails) or "; ".join(gaps) + f" ({time.perf_counter() - t0:.1f}s)"
     criterion_log(10, "white profile matches the priority-free closed form", not fails, detail)
+    assert not fails, detail
+
+
+def test_criterion_11_greedy_on_the_raw_pairing(alg1_batches, criterion_log):
+    """Alg 1's pairing-model route: the greedy on the raw pairing, loops
+    and parallel edges kept, 3 graphs x 3 runs per degree. Its mean must
+    sit within 3e-3 of the simple-graph sweep of criterion 3 (same base
+    seed) and of the frozen reference."""
+    fails, gaps = [], []
+    tol = 3e-3
+    for d in range(3, 11):
+        t0 = time.perf_counter()
+        _, summary = experiment.cmd_alg1(
+            d, n=100_000, runs=3, graphs=3, seed=0, strategy="pairing")
+        secs = time.perf_counter() - t0
+        mean = summary["grand_mean"]
+        simple = alg1_batches[d][1]["grand_mean"]
+        ref = reference.GREEDY_MEAN_ALPHA_N1E5[d]
+        gaps.append(f"d={d} {mean - simple:+.1e}")
+        if abs(mean - simple) > tol or abs(mean - ref) > tol:
+            fails.append(f"d={d} mean {mean:.5f} vs simple {simple:.5f}, reference {ref}")
+        if secs > 30.0:
+            fails.append(f"d={d} took {secs:.0f}s")
+    detail = "; ".join(fails) or "gaps to the simple-graph means: " + ", ".join(gaps)
+    criterion_log(11, "the greedy on the raw pairing matches simple graphs", not fails, detail)
     assert not fails, detail

@@ -21,7 +21,7 @@ def test_gen_writes_loadable_edge_list(tmp_path, capsys):
 
 
 def test_gen_multigraph_flag(tmp_path, capsys):
-    rc = main(["gen", "--d", "3", "--n", "10", "--seed", "0", "--multi",
+    rc = main(["gen", "--d", "3", "--n", "10", "--seed", "0", "--strategy", "pairing",
                "--out", str(tmp_path)])
     assert rc == 0
     g = load_edge_list(capsys.readouterr().out.strip())

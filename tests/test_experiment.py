@@ -328,8 +328,9 @@ def _run_configs(draw):
     base = draw(st.integers(0, 2**32 - 1))
     if method == "sim":
         return RunRecord("sim", d, n, f"{base}:{draw(st.integers(0, 9))}", 0, 0.0)
-    # restart can run out of max_restarts above d = 4
-    strategy = draw(st.sampled_from(["rematch", "restart"] if d <= 4 else ["rematch"]))
+    # restart can run out of MAX_RESTARTS above d = 4
+    strategies = ["rematch", "pairing"] + (["restart"] if d <= 4 else [])
+    strategy = draw(st.sampled_from(strategies))
     gi, ri = draw(st.integers(0, 9)), draw(st.integers(0, 9))
     return RunRecord("alg1", d, n, f"{base}:{gi}:{ri}", draw(st.integers(1, 2)), 0.0,
                      strategy=strategy)

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vbisect import graph
 from vbisect.graph import (
     RegularGraph,
     _adjacency_from_pairs,
@@ -217,7 +218,7 @@ def test_ball_rejects_a_start_outside_the_graph():
 
 
 def test_ball_layers_on_a_multigraph_and_two_components():
-    g = gen_regular(10, 4, seed=0, simple=False)
+    g = gen_regular(10, 4, seed=0, strategy="pairing")
     rows = g.adjacency.tolist()
     assert any(u in row for u, row in enumerate(rows))  # a loop
     assert any(len(set(row)) < len(row) for u, row in enumerate(rows)
@@ -265,9 +266,14 @@ def test_restart_sampler_is_uniform():
 
 
 def test_gen_regular_multigraph_pass():
-    g = gen_regular(10, 3, seed=0, simple=False)
+    g = gen_regular(10, 3, seed=0, strategy="pairing")
     assert not g.simple
     assert g.degree_check()
+    # one stub pairing, as drawn: the table of a single pairing pass
+    for n, d, seed in ((10, 3, 0), (200, 4, 7), (31, 4, 2), (5000, 10, 3)):
+        pairs = _pairing_pass(n, d, np.random.default_rng(seed))
+        g = gen_regular(n, d, seed=seed, strategy="pairing")
+        assert np.array_equal(g.adjacency, _adjacency_from_pairs(n, d, pairs))
 
 
 def test_gen_regular_rejects_bad_params():
@@ -277,18 +283,20 @@ def test_gen_regular_rejects_bad_params():
         gen_regular(7, 3, seed=0)  # odd point total
     with pytest.raises(ValueError):
         gen_regular(3, 3, seed=0)  # fewer than d+1 vertices
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bogus"):
         gen_regular(10, 3, seed=0, strategy="bogus")
 
 
-def test_gen_regular_restart_budget_exhausted():
+def test_gen_regular_restart_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_RESTARTS", 0)
     with pytest.raises(RuntimeError):
-        gen_regular(20, 3, seed=0, strategy="restart", max_restarts=0)
+        gen_regular(20, 3, seed=0, strategy="restart")
 
 
-def test_gen_regular_rematch_budget_exhausted():
+def test_gen_regular_rematch_budget_exhausted(monkeypatch):
+    monkeypatch.setattr(graph, "MAX_RESTARTS", 0)
     with pytest.raises(RuntimeError):
-        gen_regular(20, 3, seed=0, strategy="rematch", max_restarts=0)
+        gen_regular(20, 3, seed=0, strategy="rematch")
 
 
 def test_rows_list_neighbors_in_pair_order():

@@ -110,8 +110,6 @@ def test_config_validation():
     g = complete_graph(4)
     with pytest.raises(ValueError):
         run_alg1(g, GreedyConfig(r0_offset=3))
-    with pytest.raises(ValueError):  # the greedy needs a simple graph
-        run_alg1(gen_regular(10, 3, seed=0, simple=False))
     # a start vertex outside the graph
     g = gen_regular(100, 3, seed=0)
     for x0 in (-1, 100):
@@ -198,7 +196,7 @@ def _alg1_with_choice(g, cfg):
             buckets[c].append(u)
 
     for u in ball:
-        push(u, sum(not color[w] for w in adj[u]))
+        push(u, sum(not color[w] for w in adj[u]))  # once per point
     size_red = seeded = len(ball)
     fallback = False
     while size_red < target:
@@ -210,7 +208,7 @@ def _alg1_with_choice(g, cfg):
         color[w] = 1
         size_red += 1
         for u in adj[w]:
-            if color[u]:
+            if color[u] and u != w:  # a loop at w is in no bucket
                 b = buckets[cnt[u]]
                 last = b.pop()
                 if last != u:
@@ -240,6 +238,41 @@ def test_phase_two_draws_what_choice_draws(d, half_n, graph_seed, seed, offset, 
     assert trace == want
     assert np.array_equal(bis.red, mask)
     _check_width(g, bis)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5])
+def test_runs_on_the_raw_pairing(d):
+    # multigraphs with loops and parallel edges: every run keeps n // 2 red
+    # vertices, reads the recounted width off its buckets, and draws from
+    # the lowest bucket at every step, as the reference's full scan does
+    n, loops, parallels = 200, 0, 0
+    for gi in range(50):
+        g = gen_regular(n, d, seed=1000 * d + gi, strategy="pairing")
+        rows = g.adjacency.tolist()
+        loops += sum(u in row for u, row in enumerate(rows))
+        parallels += sum(len(set(row) - {u}) < len(row) - row.count(u)
+                         for u, row in enumerate(rows))
+        for seed in range(3):
+            cfg = GreedyConfig(seed=seed)
+            bis, trace = run_alg1(g, cfg)
+            assert int(bis.red.sum()) == n // 2
+            _check_width(g, bis)
+            mask, want = _alg1_with_choice(g, cfg)
+            assert trace == want
+            assert np.array_equal(bis.red, mask)
+    assert loops and parallels
+
+
+def test_a_loop_covers_no_neighbor():
+    # two components, each an edge with a loop at both ends; from x0,
+    # phase two colours its partner, whose loop leaves it no uncovered
+    # neighbor, so the width is 0
+    adj = np.array([[0, 0, 1], [1, 1, 0], [2, 2, 3], [3, 3, 2]], dtype=np.int32)
+    g = RegularGraph(4, 3, adj, False)
+    for x0 in range(4):
+        bis, trace = run_alg1(g, GreedyConfig(seed=0, x0=x0))
+        assert bis.red.nonzero()[0].tolist() == sorted({x0, int(adj[x0, 2])})
+        assert (bis.width, trace.phase2_steps, trace.exhaustion_fallback) == (0, 1, False)
 
 
 def _check_width(g, bis):

@@ -57,7 +57,7 @@ def test_adaptive_exponential_meets_tolerance(sign):
 
 def _first_step_probe(f, y0, span, rtol=1e-10, atol=1e-12):
     """The starting step for y' = f from t = 0 over span, and the times at
-    which it evaluated f."""
+    which it evaluated f (`_first_step` also returns f0, dropped here)."""
     seen = []
 
     def spy(t, y):
@@ -65,7 +65,7 @@ def _first_step_probe(f, y0, span, rtol=1e-10, atol=1e-12):
         return f(t, y)
 
     y0 = np.asarray(y0, dtype=float)
-    return integrate._first_step(spy, 0.0, y0, span, rtol, atol), seen
+    return integrate._first_step(spy, 0.0, y0, span, rtol, atol)[0], seen
 
 
 def test_first_step_is_capped_at_the_span():
@@ -192,8 +192,9 @@ def _locating(monkeypatch, solver, f, y0, t_end, events, **kw):
     """Solve from t = 0 with a counting rhs and a spy on `_locate`.
 
     Returns the result, the rhs calls spent locating (the total less the
-    calls its steps account for: DP54 makes 7 on the first attempt, and 2
-    more for its starting step, and 6 on each later one, RK4 4 a step), and
+    calls its steps account for: DP54 makes 2 for its starting step, 6 on
+    the first attempt, which reuses the first of those as its k1, and 6 on
+    each later one; RK4 makes 4 a step), and
     the searched step as (trial, t0, h, fired)."""
     calls = [0]
 
@@ -212,7 +213,7 @@ def _locating(monkeypatch, solver, f, y0, t_end, events, **kw):
     res = _solve(solver, counted, 0.0, np.asarray(y0, dtype=float), t_end, events, **kw)
     assert res.status == "event" and len(seen) == 1, solver
     if solver == "adaptive":
-        stepping = 2 + 7 + 6 * (res.n_steps + res.n_rejected - 1)
+        stepping = 2 + 6 + 6 * (res.n_steps + res.n_rejected - 1)
     else:
         stepping = 4 * res.n_steps
     return res, calls[0] - stepping, seen[0]
