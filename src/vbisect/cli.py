@@ -31,8 +31,6 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
         "r0_offset": dict(type=int, default=2, choices=(1, 2),
                           help="radius back-off for the initial ball"),
         "out": dict(type=str, default=None, help="output directory"),
-        "workers": dict(type=int, default=1,
-                        help="worker processes (graphs run in parallel)"),
         "strategy": dict(type=str, default="rematch", choices=STRATEGIES,
                          help="graph sampler: restart is a uniform simple"
                               " graph, rematch a faster but not uniform one,"
@@ -62,8 +60,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add(p, "d", "n", "seed", "strategy", "out")
 
     p = sub.add_parser("alg1", help="greedy partition sweep on fresh graphs")
-    _add(p, "d", "n", "runs", "graphs", "seed", "r0_offset", "strategy",
-         "workers", "out")
+    _add(p, "d", "n", "runs", "graphs", "seed", "r0_offset", "strategy", "out")
 
     p = sub.add_parser("balls", help="ball sizes around the half-n radius")
     _add(p, "d", "n_list", "seed", "strategy", "out")
@@ -128,7 +125,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "alg1":
         records, summary = experiment.cmd_alg1(
             args.d, args.n, args.runs, args.graphs, args.seed, args.r0_offset,
-            strategy=args.strategy, workers=args.workers, out=args.out,
+            strategy=args.strategy, out=args.out,
         )
         for row in summary["per_graph"]:
             print(f"graph {row['graph']}: avg {row['avg']:.5f}"

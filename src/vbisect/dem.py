@@ -544,10 +544,16 @@ def run_dem(
     run that does not balance reads off at the state where it stopped and
     is flagged "no_balance": stage one capped at MAX_ROUNDS ("round_cap",
     and no stage two), or a stage-two leg that ends on anything but
-    balance ("stage2_<event or solver status>"). Raises RuntimeError if a
-    promotion changes the total mass by more than CLAMP_TOL.
+    balance ("stage2_<event or solver status>"). Raises ValueError for an
+    unknown mode or for fixed mode with steps under 1 (adaptive mode
+    ignores steps), and RuntimeError if a promotion changes the total mass
+    by more than CLAMP_TOL.
     """
     check_degree(d)
+    if mode not in ("adaptive", "fixed"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "fixed" and steps < 1:
+        raise ValueError(f"steps must be at least 1, got {steps}")
     if eps is None:
         eps = EPS_DEFAULT
     leg_steps = max(FIXED_MIN_LEG_STEPS, steps // FIXED_LEG_SHARE)

@@ -5,24 +5,25 @@ composite seed string "base:...:indices" from which the run's generator
 chain is rederived. Every sweep runs its records through `run_record`, and
 replay runs a stored record through it again, so any record replays
 bit-exact. Records append to CSV; each command invocation can also drop a
-JSON manifest (command, config, seeds, code version) next to them.
+JSON manifest (command, config, code version, Python and numpy versions,
+platform, CPU count) next to them.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import csv
 import json
+import os
+import platform
 import statistics
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from functools import partial
 from pathlib import Path
 
 import numpy as np
 
+from . import __version__, reference
 from . import dem as dem_mod
-from . import reference
 from .graph import RegularGraph, ball_sizes, critical_balls, gen_regular
 from .greedy import GreedyConfig, run_alg1
 from .pairing import run_alg2, run_alg3
@@ -58,31 +59,23 @@ def _child_seed(base: int, *key: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def _code_version() -> str:
-    try:
-        from importlib.metadata import version
-
-        return version("vbisect")
-    except Exception:
-        return "unknown"
-
-
 # -- persistence -----------------------------------------------------------
 
 
-def records_to_csv(records, path, append: bool = True) -> None:
+def records_to_csv(records, path) -> None:
+    """Append records to the CSV at path, writing the header first if the
+    file is new or empty; a file with another header is an error."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    new_file = not (append and path.exists() and path.stat().st_size > 0)
+    new_file = not (path.exists() and path.stat().st_size > 0)
     if not new_file:
         with open(path, newline="") as fh:
             header = next(csv.reader(fh), None)
         if header != RECORD_FIELDS:
             raise ValueError(f"cannot append to {path}: {_layout_error(header)}")
-    mode = "a" if append else "w"
-    with open(path, mode, newline="") as fh:
+    with open(path, "a", newline="") as fh:
         writer = csv.writer(fh)
-        if new_file or not append:
+        if new_file:
             writer.writerow(RECORD_FIELDS)
         for rec in records:
             writer.writerow(
@@ -126,7 +119,11 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
     manifest = {
         "command": command,
         "config": config,
-        "version": _code_version(),
+        "version": __version__,
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "platform": platform.platform(),
+        "cpu_count": os.cpu_count(),
     }
     path = out_dir / f"manifest_{command}.json"
     with open(path, "w") as fh:
@@ -136,6 +133,11 @@ def write_manifest(out_dir, command: str, config: dict) -> Path:
 
 
 # -- running records -------------------------------------------------------
+
+
+def _check_count(name: str, value: int) -> None:
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
 
 
 def _graph(n: int, d: int, base: int, gi: int, strategy: str) -> RegularGraph:
@@ -192,16 +194,6 @@ def replay_record(rec: RunRecord) -> float:
 # -- greedy sweeps ---------------------------------------------------------
 
 
-def _alg1_graph(config: RunRecord, base: int, runs: int, gi: int) -> list[RunRecord]:
-    """Graph gi of the alg1 sweep with base seed base, drawn from its seed
-    and run runs times with config's columns; its rows are dropped after."""
-    g = _graph(config.n, config.d, base, gi, config.strategy)
-    done = [run_record(replace(config, seed=f"{base}:{gi}:{ri}"), g)[0]
-            for ri in range(runs)]
-    g.drop_rows()
-    return done
-
-
 def cmd_alg1(
     d: int,
     n: int = 100_000,
@@ -211,42 +203,33 @@ def cmd_alg1(
     r0_offset: int = 2,
     *,
     strategy: str = "rematch",
-    workers: int = 1,
     out=None,
 ):
-    """graphs fresh graphs x runs greedy executions, in job order (graph,
-    then run); per-graph avg/max/min plus the grand mean. strategy is
+    """graphs fresh graphs x runs greedy executions, in order (graph, then
+    run); per-graph avg/max/min plus the grand mean. strategy is
     `gen_regular`'s: "pairing" runs the greedy on the raw pairing, loops
-    and parallel edges kept, which is Alg 1's pairing-model route. A job
-    is one graph (`_alg1_graph`), so a process holds one graph's rows at a
-    time.
-    workers > 1 runs the jobs in a process pool, in parallel across graphs,
-    and only scalars reach a worker; the records are the same either way.
-    The pool starts at most one process per graph."""
-    if workers < 1:
-        raise ValueError(f"workers must be at least 1, got {workers}")
-    job = partial(_alg1_graph, RunRecord("alg1", d, n, "", r0_offset, 0.0,
-                                         strategy=strategy), seed, runs)
-    if workers > 1 and graphs > 1:
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=min(workers, graphs)) as pool:
-            by_graph = list(pool.map(job, range(graphs)))
-    else:
-        by_graph = list(map(job, range(graphs)))
-    records = [rec for recs in by_graph for rec in recs]
-
-    per_graph = []
-    for gi, recs in enumerate(by_graph):
+    and parallel edges kept, which is Alg 1's pairing-model route. Each
+    graph's rows are dropped after its runs, so the sweep holds one graph's
+    rows at a time."""
+    _check_count("runs", runs)
+    _check_count("graphs", graphs)
+    config = RunRecord("alg1", d, n, "", r0_offset, 0.0, strategy=strategy)
+    records, per_graph = [], []
+    for gi in range(graphs):
+        g = _graph(n, d, seed, gi, strategy)
+        recs = [run_record(replace(config, seed=f"{seed}:{gi}:{ri}"), g)[0]
+                for ri in range(runs)]
+        g.drop_rows()
+        records += recs
         alphas = [r.alpha for r in recs]
-        if alphas:
-            per_graph.append({"graph": gi, "avg": statistics.fmean(alphas),
-                              "max": max(alphas), "min": min(alphas)})
+        per_graph.append({"graph": gi, "avg": statistics.fmean(alphas),
+                          "max": max(alphas), "min": min(alphas)})
     all_alphas = [r.alpha for r in records]
     summary = {
         "per_graph": per_graph,
-        "grand_mean": statistics.fmean(all_alphas) if all_alphas else float("nan"),
-        "grand_max": max(all_alphas, default=float("nan")),
-        "grand_min": min(all_alphas, default=float("nan")),
+        "grand_mean": statistics.fmean(all_alphas),
+        "grand_max": max(all_alphas),
+        "grand_min": min(all_alphas),
         "count": len(all_alphas),
     }
     if out is not None:
@@ -330,6 +313,7 @@ def cmd_simulate(
 ):
     """Both simulation stages per seed; emits mean/stddev and optional
     trace CSVs."""
+    _check_count("seeds", seeds)
     records = []
     for si in range(seeds):
         rec, (trace2, trace3) = run_record(
@@ -344,7 +328,7 @@ def cmd_simulate(
             trace3.to_csv(out_dir / f"trace_balance_d{d}_s{si}.csv")
     alphas = [r.alpha for r in records]
     stats = {
-        "mean": statistics.fmean(alphas) if alphas else float("nan"),
+        "mean": statistics.fmean(alphas),
         "std": statistics.stdev(alphas) if len(alphas) > 1 else 0.0,
         "alphas": alphas,
     }

@@ -32,15 +32,18 @@ def test_invalid_parameters_exit_two(tmp_path, capsys):
     simulate = ["simulate", "--d", "4", "--n", "1000", "--runs", "1"]
     for argv in (["gen", "--d", "3", "--n", "7"],
                  simulate + ["--snapshot-every", "-5"],
-                 ["alg1", "--d", "3", "--n", "100", "--runs", "1", "--graphs", "2",
-                  "--workers", "0"]):
+                 ["alg1", "--d", "3", "--n", "100", "--runs", "0"],
+                 ["alg1", "--d", "3", "--n", "100", "--graphs", "0"],
+                 simulate[:-1] + ["0"],
+                 ["dem", "--d", "4", "--mode", "fixed", "--steps", "0"]):
         assert main(argv) == 2, argv
         assert "error:" in capsys.readouterr().err
     # a config key that is no subcommand's option, a typo or one the tool
     # no longer has, is named
     cfg = tmp_path / "cfg.json"
     for config, key in (({"stop_fracton": 0.3, "degree": 7}, "stop_fracton"),
-                        ({"stop_fraction": 0.3}, "stop_fraction")):
+                        ({"stop_fraction": 0.3}, "stop_fraction"),
+                        ({"workers": 2}, "workers")):
         cfg.write_text(json.dumps(config))
         assert main(["--config", str(cfg), "dem", "--d", "4"]) == 2, config
         assert key in capsys.readouterr().err
@@ -142,8 +145,8 @@ def test_report_merges_multiple_csvs(tmp_path, capsys):
 
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # workers is an option of alg1, not of gen
-    cfg.write_text(json.dumps({"n": 60, "seed": 9, "workers": 2}))
+    # graphs is an option of alg1, not of gen
+    cfg.write_text(json.dumps({"n": 60, "seed": 9, "graphs": 2}))
     rc = main(["--config", str(cfg), "gen", "--d", "3",
                "--out", str(tmp_path)])
     assert rc == 0

@@ -404,6 +404,21 @@ def test_integrate_phase_validation():
         dem.integrate_phase(f, s0, NEVER, mode="bogus")
 
 
+def test_run_dem_validation(monkeypatch):
+    # an unknown mode or a fixed-mode budget under one step fails before
+    # stage one runs; adaptive mode ignores steps
+    def no_stage_one(*args):
+        raise AssertionError("stage one ran")
+
+    monkeypatch.setattr(dem, "init_state", no_stage_one)
+    for kwargs in ({"mode": "bogus"}, {"mode": "fixed", "steps": 0},
+                   {"mode": "fixed", "steps": -5}):
+        with pytest.raises(ValueError, match="mode|steps"):
+            dem.run_dem(4, **kwargs)
+    monkeypatch.undo()
+    assert dem.run_dem(4, steps=0).alpha_upper == dem.run_dem(4).alpha_upper
+
+
 # -- full runs --------------------------------------------------------------
 
 
