@@ -2,7 +2,8 @@
 
 Subcommands: gen, alg1, balls, simulate, dem, report. A JSON config file
 (--config) sets the defaults of the chosen subcommand's options, so
-explicit flags win; a key that is no subcommand's option is an error.
+explicit flags win; each value is parsed as its flag's text would be, and
+a key that is no subcommand's option is an error.
 Exit status 0 on success, 2 on a validation problem.
 """
 
@@ -38,8 +39,6 @@ def _add(parser: argparse.ArgumentParser, *names: str) -> None:
                               " parallel edges"),
         "mode": dict(type=str, default="adaptive",
                      choices=("adaptive", "fixed"), help="stage-two integrator mode"),
-        "snapshot_every": dict(type=int, default=0,
-                               help="record class fractions every k steps"),
     }
     for name in names:
         flag = "--" + name.replace("_", "-").replace("-list", "")
@@ -66,7 +65,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     _add(p, "d", "n_list", "seed", "strategy", "out")
 
     p = sub.add_parser("simulate", help="matching-exposure simulation sweep")
-    _add(p, "d", "n", "runs", "seed", "snapshot_every", "out")
+    _add(p, "d", "n", "runs", "seed", "out")
 
     p = sub.add_parser("dem", help="fluid-limit integration per degree")
     _add(p, "d_list", "eps", "steps", "mode", "out")
@@ -79,10 +78,33 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, sub.choices
 
 
+def _config_value(action: argparse.Action, value):
+    """A config value parsed as its flag's text would be: each item through
+    the option's type and choices. Only a nargs="+" option takes a list;
+    null, objects and booleans are no flag's text."""
+    many = action.nargs == "+"
+    items = value if many and isinstance(value, list) else [value]
+    try:
+        if not items or any(item is None or isinstance(item, (bool, dict, list))
+                            for item in items):
+            raise ValueError
+        parsed = [action.type(str(item)) for item in items]
+        if action.choices and not set(parsed) <= set(action.choices):
+            raise ValueError
+    except ValueError:
+        want = ("a list of " if many else "one ") + action.type.__name__
+        if action.choices:
+            want += " in " + ", ".join(map(str, action.choices))
+        raise ValueError(f"config option {action.dest}: expected {want},"
+                         f" got {json.dumps(value)}") from None
+    return parsed if many else parsed[0]
+
+
 def _config_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
-    """The config file's values for the options of the chosen subcommand.
-    A key may set another subcommand's option, which is dropped, but not
-    one that no subcommand has."""
+    """The config file's values for the options of the chosen subcommand,
+    each parsed as its flag's text would be. A key may set another
+    subcommand's option, which is dropped, but not one that no subcommand
+    has."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -92,8 +114,10 @@ def _config_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
     unknown = [key for key in cfg if key not in known]
     if unknown:
         raise ValueError(f"config file sets unknown options: {', '.join(unknown)}")
+    actions = {a.dest: a for a in subparsers[args.command]._actions}
     options = _config_dict(args)
-    return {key: value for key, value in cfg.items() if key in options}
+    return {key: _config_value(actions[key], value)
+            for key, value in cfg.items() if key in options}
 
 
 def main(argv=None) -> int:
@@ -148,9 +172,7 @@ def _dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "simulate":
         records, stats = experiment.cmd_simulate(
-            args.d, args.n, args.runs, args.seed,
-            snapshot_every=args.snapshot_every, out=args.out,
-        )
+            args.d, args.n, args.runs, args.seed, out=args.out)
         for rec in records:
             line = f"seed {rec.seed}: alpha {rec.alpha:.5f}"
             print(line + f"  [{rec.flags}]" if rec.flags else line)

@@ -147,8 +147,7 @@ def _graph(n: int, d: int, base: int, gi: int, strategy: str) -> RegularGraph:
     return gen_regular(n, d, seed=_child_seed(base, 1, gi), strategy=strategy)
 
 
-def run_record(rec: RunRecord, g: RegularGraph | None = None,
-               snapshot_every: int = 0):
+def run_record(rec: RunRecord, g: RegularGraph | None = None):
     """Run the config in a record's columns; return the record with its
     outcome (alpha, width, wall_time_ms, flags; for dem also the resolved
     eps) filled in, and the run's trace: the GreedyTrace (alg1), both
@@ -166,10 +165,8 @@ def run_record(rec: RunRecord, g: RegularGraph | None = None,
         flags = ["exhaustion_fallback"] if trace.exhaustion_fallback else []
     elif rec.method == "sim":
         base, si = map(int, rec.seed.split(":"))
-        state, trace2 = run_alg2(rec.n, rec.d, seed=_child_seed(base, 3, si),
-                                 snapshot_every=snapshot_every)
-        alpha, trace3 = run_alg3(state, seed=_child_seed(base, 4, si),
-                                 snapshot_every=snapshot_every)
+        state, trace2 = run_alg2(rec.n, rec.d, seed=_child_seed(base, 3, si))
+        alpha, trace3 = run_alg3(state, seed=_child_seed(base, 4, si))
         width = round(alpha * rec.n / 2)
         trace = (trace2, trace3)
         flags = trace2.flags + trace3.flags
@@ -302,30 +299,14 @@ def cmd_dem(
 # -- Monte Carlo sweeps ----------------------------------------------------
 
 
-def cmd_simulate(
-    d: int,
-    n: int = 100_000,
-    seeds: int = 5,
-    seed: int = 0,
-    *,
-    snapshot_every: int = 0,
-    out=None,
-):
-    """Both simulation stages per seed; emits mean/stddev and optional
-    trace CSVs."""
+def cmd_simulate(d: int, n: int = 100_000, seeds: int = 5, seed: int = 0, *,
+                 out=None):
+    """Both simulation stages per seed; returns the records and their
+    alpha mean/stddev, and writes the records to out/records.csv when out
+    is given."""
     _check_count("seeds", seeds)
-    records = []
-    for si in range(seeds):
-        rec, (trace2, trace3) = run_record(
-            RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0),
-            snapshot_every=snapshot_every,
-        )
-        records.append(rec)
-        if out is not None and snapshot_every:
-            out_dir = Path(out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            trace2.to_csv(out_dir / f"trace_growth_d{d}_s{si}.csv")
-            trace3.to_csv(out_dir / f"trace_balance_d{d}_s{si}.csv")
+    records = [run_record(RunRecord("sim", d, n, f"{seed}:{si}", 0, 0.0))[0]
+               for si in range(seeds)]
     alphas = [r.alpha for r in records]
     stats = {
         "mean": statistics.fmean(alphas),

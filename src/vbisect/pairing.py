@@ -27,7 +27,10 @@ undoable exposure written with `_draw` and `_move`; the drift regression
 tests resample single steps from a frozen state with it.
 `PairingState.expose_stage` is the fast loop the runs use: the same
 exposures, bit for bit, over local copies of the state until the stage
-ends or a step bound (a snapshot, an early stop) is reached.
+ends or a step bound (`run_alg2`'s early stop) is reached. Stage one is
+one such call per round, stage two a single call, and `SimTrace` records
+the runs round by round: the class fractions at each round end and after
+each promotion, which the fluid limit's round states are compared with.
 The exposed edges are one flat log, and the partition's boundary is read
 off it with numpy. A promotion moves each hit white class into its red
 class as one block.
@@ -69,37 +72,18 @@ def _draw(rng: random.Random, total: int, classes) -> int:
 
 @dataclass
 class SimTrace:
-    """Step-indexed class-size snapshots plus round bookkeeping.
+    """Round bookkeeping of one stage run.
 
-    rows hold (step, phase, class_index, kind, fraction) with kind "R" for
-    red and "Z" for non-red; a full snapshot sums to 1 across its rows.
+    phase_ends holds the step count at each round end, and
     round_end_fractions / post_roll_fractions hold ([r_0..r_d], [z_0..z_d])
-    size fractions just before and just after each promotion.
+    size fractions just before and just after each promotion; flags lists
+    what the run reported.
     """
 
-    n: int
-    d: int
-    rows: list = field(default_factory=list)
-    phase_ends: list = field(default_factory=list)  # step count at each round end
+    phase_ends: list = field(default_factory=list)
     round_end_fractions: list = field(default_factory=list)
     post_roll_fractions: list = field(default_factory=list)
     flags: list = field(default_factory=list)
-
-    def snapshot(self, state: "PairingState", phase: int) -> None:
-        n = self.n
-        for i in range(self.d + 1):
-            self.rows.append(
-                (state.steps, phase, i, "R", len(state.red_cls[i]) / n)
-            )
-            self.rows.append(
-                (state.steps, phase, i, "Z", len(state.white_cls[i]) / n)
-            )
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("step,phase,class,kind,fraction\n")
-            for step, phase, cls, kind, frac in self.rows:
-                fh.write(f"{step},{phase},{cls},{kind},{frac:.10g}\n")
 
 
 class PairingState:
@@ -232,8 +216,9 @@ class PairingState:
 
         Before each exposure the loop returns "target" once the stage's
         half reaches n/2, then "dry" once the first-point pool is empty.
-        After an exposure it returns None once steps reaches step_bound,
-        so it exposes at least once when both allow it. With
+        After an exposure it returns None once steps reaches step_bound
+        (run_alg2's stop_after_steps), so it exposes at least once when
+        both allow it. With
         color_on_hit off (stage one) the half is every vertex the next
         promotion would make red, all but the untouched whites; with it on
         (stage two) it is the red set less red class 1, which goes to the
@@ -405,31 +390,8 @@ class PairingState:
         assert np.array_equal(degree, self.d - np.asarray(self.free))
 
 
-def _check_snapshot_every(snapshot_every: int) -> None:
-    if snapshot_every < 0:
-        raise ValueError(
-            f"snapshot_every must be at least 0, got {snapshot_every}"
-        )
-
-
-def _step_bound(steps: int, snapshot_every: int,
-                stop_after_steps: int | None = None) -> int | None:
-    """The step count at which a stage loop hands back: the next multiple
-    of snapshot_every (when set) or stop_after_steps, whichever is first."""
-    bounds = [] if stop_after_steps is None else [stop_after_steps]
-    if snapshot_every:
-        bounds.append(steps + snapshot_every - steps % snapshot_every)
-    return min(bounds, default=None)
-
-
-def run_alg2(
-    n: int,
-    d: int,
-    seed=None,
-    *,
-    snapshot_every: int = 0,
-    stop_after_steps: int | None = None,
-) -> tuple[PairingState, SimTrace]:
+def run_alg2(n: int, d: int, seed=None, *, stop_after_steps: int | None = None
+             ) -> tuple[PairingState, SimTrace]:
     """First stage: grow the red set in rounds until it reaches half of
     the vertices.
 
@@ -439,14 +401,14 @@ def run_alg2(
     vertices the promotion would make red (every vertex but the untouched
     whites) to n/2; that state is the last entry of
     trace.round_end_fractions, and promoting it lands the red set on n/2.
-    stop_after_steps returns mid-round after that many exposures (used to
-    freeze states for drift tests).
+    stop_after_steps returns mid-round after that many exposures, flagged
+    "stopped_early" (used to freeze states for drift tests). The trace
+    gets one entry per round; st.phase_count is the number of promotions.
     """
     check_params(n, d)
-    _check_snapshot_every(snapshot_every)
     rng = random.Random(seed)
     st = PairingState(n, d)
-    trace = SimTrace(n=n, d=d)
+    trace = SimTrace()
 
     x0 = rng.randrange(n)
     while st.free[x0] > 0:
@@ -454,34 +416,21 @@ def run_alg2(
     st._move(x0, 1, 0)
 
     target = n / 2
-
-    phase = 0
-    if snapshot_every:
-        trace.snapshot(st, phase)
     while True:
-        while st.expose_stage(
-            rng, _step_bound(st.steps, snapshot_every, stop_after_steps)
-        ) is None:
-            if snapshot_every and st.steps % snapshot_every == 0:
-                trace.snapshot(st, phase)
-            if stop_after_steps is not None and st.steps >= stop_after_steps:
-                trace.flags.append("stopped_early")
-                st.phase_count = phase
-                return st, trace
+        if st.expose_stage(rng, stop_after_steps) is None:
+            trace.flags.append("stopped_early")
+            break
         trace.phase_ends.append(st.steps)
         trace.round_end_fractions.append(st.class_fractions())
         moved = st.rollover()
-        phase += 1
         trace.post_roll_fractions.append(st.class_fractions())
-        if snapshot_every:
-            trace.snapshot(st, phase)
         if st.size_red >= target:
             break
         if moved == 0 and st.points_red == 0:
             # start vertex sat in a component smaller than the target
             trace.flags.append("component_exhausted")
             break
-    st.phase_count = phase
+    st.phase_count = len(trace.phase_ends)
     return st, trace
 
 
@@ -504,12 +453,7 @@ def _boundary_reader(st: PairingState):
     return boundary
 
 
-def run_alg3(
-    state: PairingState,
-    seed=None,
-    *,
-    snapshot_every: int = 0,
-) -> tuple[float, SimTrace]:
+def run_alg3(state: PairingState, seed=None) -> tuple[float, SimTrace]:
     """Second stage: drain the low red classes while the hit rule recolors
     white vertices, stop at balance, and price the bisection.
 
@@ -531,21 +475,13 @@ def run_alg3(
 
     Mutates state in place.
     """
-    _check_snapshot_every(snapshot_every)
     st = state
     n, d = st.n, st.d
     rng = random.Random(seed)
-    trace = SimTrace(n=n, d=d)
-    phase = st.phase_count
+    trace = SimTrace()
     target = n / 2
 
-    if snapshot_every:
-        trace.snapshot(st, phase)
-    while (end := st.expose_stage(
-        rng, _step_bound(st.steps, snapshot_every),
-        low_max=stage_two_low_max(d), color_on_hit=True,
-    )) is None:
-        trace.snapshot(st, phase)
+    end = st.expose_stage(rng, low_max=stage_two_low_max(d), color_on_hit=True)
     if end == "dry":
         trace.flags.append("red_exhausted")
 
@@ -585,6 +521,4 @@ def run_alg3(
     boundary = boundary_of(in_half)
     boundary[list(forced)] = True
     alpha = int(np.count_nonzero(boundary)) / target
-    if snapshot_every:
-        trace.snapshot(st, phase)
     return alpha, trace

@@ -31,22 +31,43 @@ def test_gen_multigraph_flag(tmp_path, capsys):
 def test_invalid_parameters_exit_two(tmp_path, capsys):
     simulate = ["simulate", "--d", "4", "--n", "1000", "--runs", "1"]
     for argv in (["gen", "--d", "3", "--n", "7"],
-                 simulate + ["--snapshot-every", "-5"],
+                 simulate + ["--snapshot-every", "100"],
                  ["alg1", "--d", "3", "--n", "100", "--runs", "0"],
                  ["alg1", "--d", "3", "--n", "100", "--graphs", "0"],
                  simulate[:-1] + ["0"],
                  ["dem", "--d", "4", "--mode", "fixed", "--steps", "0"]):
-        assert main(argv) == 2, argv
+        # an unknown flag is argparse's usage error, the others are ours
+        try:
+            assert main(argv) == 2, argv
+        except SystemExit as exc:
+            assert exc.code == 2, argv
         assert "error:" in capsys.readouterr().err
     # a config key that is no subcommand's option, a typo or one the tool
     # no longer has, is named
     cfg = tmp_path / "cfg.json"
     for config, key in (({"stop_fracton": 0.3, "degree": 7}, "stop_fracton"),
                         ({"stop_fraction": 0.3}, "stop_fraction"),
-                        ({"workers": 2}, "workers")):
+                        ({"workers": 2}, "workers"),
+                        ({"snapshot_every": 100}, "snapshot_every")):
         cfg.write_text(json.dumps(config))
         assert main(["--config", str(cfg), "dem", "--d", "4"]) == 2, config
         assert key in capsys.readouterr().err
+    # a config value is parsed as its flag's text would be: a wrongly typed
+    # one is an error naming its key, never a crash in the run
+    alg1 = ["alg1", "--d", "3"]
+    for config in ({"n": None}, {"graphs": None}, {"n": [10]},
+                   {"seed": {"a": 1}}, {"n": 200.0}, {"runs": 2.0},
+                   {"r0_offset": 2.0}, {"runs": "two"}, {"seed": True},
+                   {"strategy": "bogus"}):
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg)] + alg1) == 2, config
+        err = capsys.readouterr().err
+        assert "error:" in err and next(iter(config)) in err, config
+        assert "Traceback" not in err
+    for config in ({"d_list": []}, {"d_list": [5, "x"]}, {"eps": "small"}):
+        cfg.write_text(json.dumps(config))
+        assert main(["--config", str(cfg), "dem", "--d", "4"]) == 2, config
+        assert next(iter(config)) in capsys.readouterr().err, config
 
 
 def test_missing_records_file_exits_two(tmp_path, capsys):
@@ -85,7 +106,7 @@ def test_records_file_in_an_older_layout_names_the_column_difference(
         assert "missing" not in err
 
 
-def test_alg1_snapshot_artifacts(tmp_path, capsys):
+def test_alg1_writes_records_and_manifest(tmp_path, capsys):
     rc = main(["alg1", "--d", "3", "--n", "200", "--runs", "2", "--graphs", "2",
                "--seed", "4", "--out", str(tmp_path)])
     assert rc == 0

@@ -176,16 +176,13 @@ def test_dem_sweep_records(tmp_path):
     assert (tmp_path / "records.csv").exists()
 
 
-def test_simulate_sweep_records_and_traces(tmp_path):
-    records, stats = cmd_simulate(4, n=400, seeds=2, seed=3,
-                                  snapshot_every=100, out=tmp_path)
+def test_simulate_sweep_records(tmp_path):
+    records, stats = cmd_simulate(4, n=400, seeds=2, seed=3, out=tmp_path)
     assert len(records) == 2
     for rec in records:
         assert rec.method == "sim"
         assert rec.width == round(rec.alpha * 400 * 0.5)
     assert stats["alphas"] == [r.alpha for r in records]
-    assert (tmp_path / "trace_growth_d4_s0.csv").exists()
-    assert (tmp_path / "trace_balance_d4_s1.csv").exists()
 
 
 # -- replay -----------------------------------------------------------------

@@ -434,26 +434,6 @@ def test_validation():
         run_alg2(100, 2, seed=0)
     with pytest.raises(ValueError):
         run_alg2(4, 4, seed=0)
-    with pytest.raises(ValueError, match="snapshot_every"):
-        run_alg2(1000, 4, seed=0, snapshot_every=-5)
-    st, _ = run_alg2(1000, 4, seed=0)
-    with pytest.raises(ValueError, match="snapshot_every"):
-        run_alg3(st, seed=0, snapshot_every=-5)
-
-
-def test_snapshot_rows_and_csv(tmp_path):
-    _, trace = run_alg2(400, 3, seed=10, snapshot_every=100)
-    assert trace.rows
-    step, phase, cls, kind, frac = trace.rows[0]
-    assert kind in ("R", "Z")
-    # a step count can repeat across phases; sum one (step, phase) snapshot
-    full = [r for r in trace.rows if r[0] == step and r[1] == phase]
-    assert sum(r[4] for r in full) == pytest.approx(1.0, abs=1e-9)
-    path = tmp_path / "trace.csv"
-    trace.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "step,phase,class,kind,fraction"
-    assert len(lines) == len(trace.rows) + 1
 
 
 # -- stage two --------------------------------------------------------------
