@@ -2,8 +2,9 @@
 
 Subcommands: gen, alg1, balls, simulate, dem, report. A JSON config file
 (--config) sets the defaults of the chosen subcommand's options, so
-explicit flags win; each value is parsed as its flag's text would be, and
-a key that is no subcommand's option is an error.
+explicit flags win; it may supply a required option. Each value is parsed
+as its flag's text would be, and a key that is no subcommand's option is
+an error.
 Exit status 0 on success, 2 on a validation problem.
 """
 
@@ -100,12 +101,12 @@ def _config_value(action: argparse.Action, value):
     return parsed if many else parsed[0]
 
 
-def _config_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
+def _config_defaults(path: str, command: str, subparsers: dict) -> dict:
     """The config file's values for the options of the chosen subcommand,
     each parsed as its flag's text would be. A key may set another
     subcommand's option, which is dropped, but not one that no subcommand
     has."""
-    with open(args.config) as fh:
+    with open(path) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError("config file must hold a JSON object")
@@ -114,22 +115,37 @@ def _config_defaults(args: argparse.Namespace, subparsers: dict) -> dict:
     unknown = [key for key in cfg if key not in known]
     if unknown:
         raise ValueError(f"config file sets unknown options: {', '.join(unknown)}")
-    actions = {a.dest: a for a in subparsers[args.command]._actions}
-    options = _config_dict(args)
+    actions = {a.dest: a for a in subparsers[command]._actions}
     return {key: _config_value(actions[key], value)
-            for key, value in cfg.items() if key in options}
+            for key, value in cfg.items() if key in actions}
+
+
+def _apply_config(argv: list, parser: argparse.ArgumentParser,
+                  subparsers: dict) -> None:
+    """Set the config file's values as the chosen subcommand's defaults, so
+    any flag given wins, and let them satisfy its required options. The
+    file and the subcommand come from a pre-parse; a bad command line is
+    left for the full parse to report."""
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config")
+    pre.add_argument("command", nargs="?")
+    known, _ = pre.parse_known_args(argv)
+    if not known.config or known.command not in subparsers:
+        return
+    sub = subparsers[known.command]
+    values = _config_defaults(known.config, known.command, subparsers)
+    for action in sub._actions:
+        if action.dest in values:
+            action.required = False
+    sub.set_defaults(**values)
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.config:
-            # as defaults, config values lose to any flag argparse parsed
-            subparsers[args.command].set_defaults(
-                **_config_defaults(args, subparsers))
-            args = parser.parse_args(argv)
+        _apply_config(argv, parser, subparsers)
+        args = parser.parse_args(argv)
         return _dispatch(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

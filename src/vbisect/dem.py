@@ -25,10 +25,16 @@ through a promotion, forward for the run and backward for the readout.
 The right-hand sides are conservative: component sums vanish up to
 rounding. The promotions only move mass between classes; `run_dem`
 raises if one changes the total by more than CLAMP_TOL.
+
+Everything that depends only on small ints is built once per process and
+shared: the binomial and exponent tables of a round's thinning (per class
+count), the transition map (per degree), and each leg's forward and
+backward right-hand sides (per leg key). Their arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -117,6 +123,12 @@ class DemRunResult:
 # -- right-hand sides ------------------------------------------------------
 
 
+def _read_only(*arrays: np.ndarray) -> None:
+    """Freeze arrays that a cached table or closure shares with every caller."""
+    for a in arrays:
+        a.flags.writeable = False
+
+
 def _leg_layout(d: int, low_max: int, color_on_hit: bool):
     """(unpaired points, index of the state one point down, mask of the
     states that give first points) over [r_0..r_{d-1}, z_0..z_d] for a leg
@@ -133,6 +145,7 @@ def _leg_layout(d: int, low_max: int, color_on_hit: bool):
     return pts, down, first
 
 
+@functools.lru_cache(maxsize=None)
 def _leg_rhs(d: int, low_max: int, color_on_hit: bool):
     """Derivative of a leg's state vector under `_leg_layout`.
 
@@ -143,7 +156,8 @@ def _leg_rhs(d: int, low_max: int, color_on_hit: bool):
     the point moves scaled by pts, the same scaled by the pool's pts, the
     all-points row and the pool row, so f is one product and two divisions;
     a pool with no points adds no first-point term. The component sum
-    vanishes up to rounding.
+    vanishes up to rounding. Built once per leg key and shared, so the
+    matrix is read-only.
     """
     pts, down, first = _leg_layout(d, low_max, color_on_hit)
     n = pts.size
@@ -151,6 +165,7 @@ def _leg_rhs(d: int, low_max: int, color_on_hit: bool):
     move[down, np.arange(n)] = 1.0
     move -= np.eye(n)
     mat = np.vstack([move * pts, move * (pts * first), pts, pts * first])
+    _read_only(mat)
 
     def f(t: float, y: np.ndarray) -> np.ndarray:
         v = mat.dot(y)
@@ -189,6 +204,26 @@ def rhs_phase2_fallback(d: int):
 # -- the exact stage-one round ---------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _thinning_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tables of `_thinning` over n classes, built once per size and
+    read-only: C(j, i), the exponent index max(j - i, 0) and 0..n-1."""
+    binom = np.array([[math.comb(b, a) for b in range(n)] for a in range(n)], dtype=float)
+    k = np.arange(n)
+    expo = np.maximum(k - k[:, None], 0)
+    _read_only(binom, expo, k)
+    return binom, expo, k
+
+
+def _thinning(n: int, keep: float, weight: float) -> np.ndarray:
+    """M[i, j] = C(j, i) keep^i weight^(j-i) over n classes. With weight
+    = 1 - keep, M @ x is the class sizes once each point is kept with
+    probability keep, and M.T @ h pulls a function of the class back.
+    The powers are taken once per exponent and gathered into place."""
+    binom, expo, k = _thinning_tables(n)
+    return binom * keep ** k[:, None] * (weight**k)[expo]
+
+
 class ExactRound:
     """Exact solution of `rhs_phase1` over one stage-one round from s0.
 
@@ -199,6 +234,8 @@ class ExactRound:
     independently, so each class block thins binomially: a white point is
     lost with probability u = 1 - s/sqrt(A), a red one with 1 - p_red/p0
     = u (1 + A (1 - u) / p0). The map is parametrised by u; t = A u (2-u)/2.
+    The binomial and exponent tables of `_thinning` are built once per
+    class count, not per round, and are read-only.
     """
 
     def __init__(self, s0: DemState):
@@ -207,21 +244,11 @@ class ExactRound:
         # A u^2 - (A + p0) u + p0 - DELTA_STOP, in cancellation-free form
         root = math.sqrt((self.A - self.p0) ** 2 + 4.0 * self.A * DELTA_STOP)
         self.u_end = max(2.0 * (self.p0 - DELTA_STOP) / (self.A + self.p0 + root), 0.0)
-        j = range(s0.d + 1)
-        self._binom = np.array([[math.comb(b, a) for b in j] for a in j], dtype=float)
 
     def _lost(self, u: float) -> tuple[float, float]:
         """The chance that a red and that a white point is paired by u."""
         red = u * (1.0 + self.A * (1.0 - u) / self.p0) if u > 0.0 else 0.0
         return min(max(red, 0.0), 1.0), min(max(u, 0.0), 1.0)
-
-    def _thinning(self, n: int, keep: float, weight: float) -> np.ndarray:
-        """M[i, j] = C(j, i) keep^i weight^(j-i) over n classes. With weight
-        = 1 - keep, M @ x is the class sizes once each point is kept with
-        probability keep, and M.T @ h pulls a function of the class back."""
-        j = np.arange(n)
-        i = j[:, None]
-        return self._binom[:n, :n] * keep**i * weight ** np.maximum(j - i, 0)
 
     def t_at(self, u: float) -> float:
         return 0.5 * self.A * u * (2.0 - u)
@@ -231,8 +258,8 @@ class ExactRound:
 
     def state(self, u: float) -> DemState:
         s0, (red, white) = self.s0, self._lost(u)
-        r = self._thinning(s0.d, 1.0 - red, red) @ s0.r
-        return DemState(s0.d, r, self._thinning(s0.d + 1, 1.0 - white, white) @ s0.z)
+        r = _thinning(s0.d, 1.0 - red, red) @ s0.r
+        return DemState(s0.d, r, _thinning(s0.d + 1, 1.0 - white, white) @ s0.z)
 
     def pull_back(self, u: float, x: np.ndarray) -> np.ndarray:
         """[h, k] at the start of the round from [h, k] at u: the exact
@@ -247,14 +274,14 @@ class ExactRound:
         integrate the loss rate times that over the round."""
         s0, d, (red, white) = self.s0, self.s0.d, self._lost(u)
         size = 2 * d + 1
-        h_r = self._thinning(d, 1.0 - red, red).T @ x[:d]
-        h_w = self._thinning(d + 1, 1.0 - white, white).T @ x[d:size]
+        h_r = _thinning(d, 1.0 - red, red).T @ x[:d]
+        h_w = _thinning(d + 1, 1.0 - white, white).T @ x[d:size]
         c_r = float(np.arange(1, d) @ (s0.r[1:] * h_r[:-1]))
         c_w = float(np.arange(1, d + 1) @ (s0.z[1:] * h_w[:-1]))
         g_r = (2.0 * c_r * (u - self.A * u * u / (2.0 * self.p0)) + c_w * u) / self.p0
         g_w = c_r * u / self.p0
-        k_r = self._thinning(d, 1.0 - red, g_r).T @ x[size : size + d]
-        k_w = self._thinning(d + 1, 1.0 - white, g_w).T @ x[size + d :]
+        k_r = _thinning(d, 1.0 - red, g_r).T @ x[size : size + d]
+        k_w = _thinning(d + 1, 1.0 - white, g_w).T @ x[size + d :]
         return np.concatenate([h_r, h_w, k_r, k_w])
 
     def vector(self, t: float) -> np.ndarray:
@@ -272,10 +299,10 @@ class ExactRound:
         is within STOP_TOL of frac, where the promoted state decides, so
         the float found is the same.
         """
-        d, zd = self.s0.d, float(self.s0.z[-1])
+        d, mass, zd = self.s0.d, self.s0.mass, float(self.s0.z[-1])
 
         def short(u: float) -> bool:
-            gap = self.s0.mass - zd * (1.0 - u) ** d - frac
+            gap = mass - zd * (1.0 - u) ** d - frac
             if abs(gap) > STOP_TOL:
                 return gap < 0.0
             return rollover(self.state(u)).red_mass < frac
@@ -305,11 +332,14 @@ def init_state(d: int, eps: float) -> DemState:
     return DemState(d, r, z)
 
 
+@functools.lru_cache(maxsize=None)
 def _transition(d: int) -> np.ndarray:
     """Index of each entry of [r_0..r_{d-1}, z_0..z_d] after a promotion.
     Red classes stay, the hit whites z_j (fully paired ones included) join
-    r_j, and the untouched pool stays."""
-    return np.concatenate([np.arange(d), np.arange(d), [2 * d]])
+    r_j, and the untouched pool stays. Built once per degree; read-only."""
+    m = np.concatenate([np.arange(d), np.arange(d), [2 * d]])
+    _read_only(m)
+    return m
 
 
 def rollover(s: DemState) -> DemState:
@@ -371,6 +401,7 @@ READOUT_RTOL = 1e-7
 READOUT_ATOL = 1e-9
 
 
+@functools.lru_cache(maxsize=None)
 def _backward_rhs(d: int, low_max: int, color_on_hit: bool):
     """g(y, x): the backward derivative of x = [h, k] at the state vector
     y, for a leg of `_leg_layout(d, low_max, color_on_hit)`, in time
@@ -386,6 +417,7 @@ def _backward_rhs(d: int, low_max: int, color_on_hit: bool):
     once per leg, whose blocks place pts and pts first in each half: a
     vector-matrix product, as a matrix-matrix one would have BLAS allocate
     a work buffer on first use and raise a run's peak memory by 0.25 MB.
+    Built once per leg key and shared, so its arrays are read-only.
     """
     pts, down, first = _leg_layout(d, low_max, color_on_hit)
     n = pts.size
@@ -394,6 +426,7 @@ def _backward_rhs(d: int, low_max: int, color_on_hit: bool):
     place = np.zeros((8, 4 * n))
     for j in range(4):
         place[2 * j : 2 * j + 2, j * n : (j + 1) * n] = q
+    _read_only(q, gather, place)
 
     def g(y: np.ndarray, x: np.ndarray) -> np.ndarray:
         # the backward solve of y carries its own error and may dip below

@@ -17,7 +17,7 @@ import os
 import platform
 import statistics
 import time
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -78,9 +78,8 @@ def records_to_csv(records, path) -> None:
         if new_file:
             writer.writerow(RECORD_FIELDS)
         for rec in records:
-            writer.writerow(
-                [repr(v) if isinstance(v, float) else v for v in astuple(rec)]
-            )
+            values = (getattr(rec, name) for name in RECORD_FIELDS)
+            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
 
 
 def _layout_error(header) -> str:

@@ -201,6 +201,23 @@ def test_explicit_flag_beats_config(tmp_path, capsys):
     assert "command" in capsys.readouterr().err
 
 
+def test_config_file_supplies_a_required_option(tmp_path, capsys):
+    # --d of dem and --n of balls are required flags; a config value counts
+    # as given, and a required option set by neither still stops the run
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"d_list": [5]}))
+    assert main(["--config", str(cfg), "dem"]) == 0
+    assert "\n5," in capsys.readouterr().out
+    cfg.write_text(json.dumps({"d": 3, "n_list": [200]}))
+    assert main(["--config", str(cfg), "balls"]) == 0
+    assert "\n200," in capsys.readouterr().out
+    cfg.write_text(json.dumps({"n": 50}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(cfg), "dem"])
+    assert exc.value.code == 2
+    assert "required: --d" in capsys.readouterr().err
+
+
 def test_config_must_be_an_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2]")

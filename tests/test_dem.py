@@ -140,6 +140,62 @@ def test_exact_round_matches_integrated_rhs(d):
         assert end.r.min() >= 0.0 and end.z.min() >= 0.0
 
 
+@pytest.mark.parametrize("d", range(3, 31))
+def test_thinning_matches_the_direct_formula(d):
+    # the gathered powers equal the n x n table of powers, bit for bit,
+    # for both class blocks of a degree, at the corners and inside
+    values = (0.0, 1e-3, 0.5, 1.0)
+    for n in (d, d + 1):
+        j = np.arange(n)
+        i = j[:, None]
+        binom = np.array([[math.comb(b, a) for b in range(n)] for a in range(n)],
+                         dtype=float)
+        for keep, weight in itertools.product(values, values):
+            direct = binom * keep**i * weight ** np.maximum(j - i, 0)
+            assert np.array_equal(dem._thinning(n, keep, weight), direct)
+
+
+def _cached_functions():
+    return [f for f in vars(dem).values() if hasattr(f, "cache_clear")]
+
+
+def _cached_arrays(d):
+    """Every array the caches hand out at degree d: the thinning and
+    transition tables, and the arrays the leg closures hold."""
+    arrays = [*dem._thinning_tables(d), *dem._thinning_tables(d + 1),
+              dem._transition(d)]
+    for key in ((d, d, False), (d, stage_two_low_max(d), True), (d, d, True)):
+        for fn in (dem._leg_rhs(*key), dem._backward_rhs(*key)):
+            arrays += [c.cell_contents for c in fn.__closure__
+                       if isinstance(c.cell_contents, np.ndarray)]
+    return arrays
+
+
+@pytest.mark.parametrize("d", [3, 10])
+def test_cached_tables_are_read_only(d):
+    assert {f.__name__ for f in _cached_functions()} == {
+        "_thinning_tables", "_transition", "_leg_rhs", "_backward_rhs"}
+    arrays = _cached_arrays(d)
+    assert len(arrays) == 3 + 3 + 1 + 3 * (1 + 3)
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1
+
+
+def test_run_dem_is_the_same_with_cold_and_warm_caches():
+    # a one-shot run builds every table; a later run reuses them
+    def outcome(res):
+        return (repr(res.alpha_upper), res.n_steps, res.n_rejected,
+                res.phase_count, res.flags)
+
+    for d in (3, 7):
+        for f in _cached_functions():
+            f.cache_clear()
+        cold = outcome(dem.run_dem(d))
+        assert dem._thinning_tables.cache_info().currsize == 2
+        assert outcome(dem.run_dem(d)) == cold
+
+
 @pytest.mark.parametrize("d", range(3, 11))
 @pytest.mark.parametrize("at_end", [True, False])
 def test_exact_round_pull_back_matches_backward_solve(d, at_end):

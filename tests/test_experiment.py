@@ -56,6 +56,28 @@ def test_csv_append_keeps_single_header(tmp_path):
     assert records_from_csv(path) == recs
 
 
+def test_csv_bytes_are_unchanged(tmp_path):
+    # one record of each method, written as the layout has always written
+    # them: floats by repr, empty strings as empty cells, CRLF line ends
+    path = tmp_path / "records.csv"
+    records_to_csv([
+        RunRecord("alg1", 4, 100000, "0:2:1:3", 2, 0.0, 0.46093, 23046,
+                  1234.5678901, "", strategy="rematch"),
+        RunRecord("sim", 8, 100000, "7:0", 0, 0.0, 0.1 + 0.2, 15000, 80.0,
+                  "red_exhausted;fill_arbitrary"),
+        RunRecord("dem", 10, 0, "", 0, 1e-5, 0.8576948202135218, 0, 0.25,
+                  "no_balance", mode="fixed", steps=10**6),
+    ], path)
+    assert path.read_bytes() == (
+        b"method,d,n,seed,r0_offset,eps,alpha,width,wall_time_ms,flags,"
+        b"strategy,mode,steps\r\n"
+        b"alg1,4,100000,0:2:1:3,2,0.0,0.46093,23046,1234.5678901,,rematch,,0\r\n"
+        b"sim,8,100000,7:0,0,0.0,0.30000000000000004,15000,80.0,"
+        b"red_exhausted;fill_arbitrary,,,0\r\n"
+        b"dem,10,0,,0,1e-05,0.8576948202135218,0,0.25,no_balance,,fixed,1000000\r\n"
+    )
+
+
 def test_csv_creates_parent_directories(tmp_path):
     path = tmp_path / "deep" / "down" / "records.csv"
     records_to_csv(_sample_records(), path)
