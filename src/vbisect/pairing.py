@@ -34,11 +34,19 @@ each promotion, which the fluid limit's round states are compared with.
 The exposed edges are one flat log, and the partition's boundary is read
 off it with numpy. A promotion moves each hit white class into its red
 class as one block.
+
+The per-vertex state the loop only writes (positions, unpaired-point
+counts) and the edge log are typed `array.array` buffers, not lists: a
+list store drops a reference to the int it replaces, a cold object
+somewhere in a heap of n of them, so each store would pay a cache miss
+for that decref. The buffers also hand numpy their memory without a copy.
+Positions and edge ends are 32-bit, so n must stay below 2**31.
 """
 
 from __future__ import annotations
 
 import random
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,11 +98,15 @@ class PairingState:
     """Partially exposed pairing of n vertices with d points each.
 
     red_cls[i] / white_cls[i] list the vertices of each color with exactly
-    i unpaired points, and pos[u] is u's index in its list; points_red /
-    points_white are the matching point totals. edges is the exposed-edge
-    log, one flat int list u0, v0, u1, v1, ... in exposure order (a
-    self-loop is u, u), one pair per step. The invariant
+    i unpaired points, and pos[u] is u's index in its list; free[u] is u's
+    unpaired-point count; points_red / points_white are the matching point
+    totals. edges is the exposed-edge log, flat u0, v0, u1, v1, ... in
+    exposure order (a self-loop is u, u), one pair per step. The invariant
     steps + (points_red + points_white)/2 == n*d/2 holds throughout.
+
+    pos and edges are 32-bit `array("i")` buffers (n < 2**31), free the
+    narrowest unsigned array that holds d (bytes for any d up to 255); the
+    class lists stay lists, since the loop reads them.
 
     Each exposure draws its integers with a getrandbits rejection loop,
     the one `random.Random.randrange` runs, so a seed gives the stream
@@ -125,29 +137,33 @@ class PairingState:
         "phase_count",
         "_red",
         "_white",
+        "_all",
         "_low",
     )
 
     def __init__(self, n: int, d: int):
         self.n = n
         self.d = d
-        self.free = [d] * n
+        width = next(c for c in "BHIL" if d < 1 << 8 * array(c).itemsize)
+        self.free = array(width, [d]) * n
         self.is_red = bytearray(n)
         self.red_cls: list[list[int]] = [[] for _ in range(d + 1)]
         self.white_cls: list[list[int]] = [[] for _ in range(d + 1)]
         self.white_cls[d] = list(range(n))
-        self.pos = list(range(n))
+        self.pos = array("i", np.arange(n, dtype=np.int32).tobytes())
         self.points_red = 0
         self.points_white = n * d
         self.size_red = 0
-        self.edges: list[int] = []
+        self.edges = array("i")
         self.steps = 0
         self.phase_count = 0
         # (points per vertex, class list) for classes d..1, top first; the
         # class lists are only ever mutated in place, so these stay valid.
-        # _low[m] is the red tail for classes m..1.
+        # _all walks the whites above the reds; _low[m] is the red tail for
+        # classes m..1.
         self._red = [(i, self.red_cls[i]) for i in range(d, 0, -1)]
         self._white = [(i, self.white_cls[i]) for i in range(d, 0, -1)]
+        self._all = self._white + self._red
         self._low = [self._red[d - m:] for m in range(d + 1)]
 
     # -- class bookkeeping -------------------------------------------------
@@ -188,11 +204,10 @@ class PairingState:
         u_red, u_free = self.is_red[u], self.free[u]
         self._move(u, u_red, u_free - 1)
         # white points above red ones, as expose_stage numbers them
-        v = _draw(rng, self.points_red + self.points_white,
-                  self._white + self._red)
+        v = _draw(rng, self.points_red + self.points_white, self._all)
         v_red, v_free = self.is_red[v], self.free[v]
         self._move(v, v_red or color_on_hit, v_free - 1)
-        self.edges += (u, v)
+        self.edges.extend((u, v))
         self.steps += 1
         return (u, u_red, u_free), (v, v_red, v_free)
 
@@ -201,8 +216,11 @@ class PairingState:
         """One process step: first point from the red classes (all of them,
         or only 1..low_max), second from everything unpaired. Returns None,
         exposing nothing, when those red classes have no unpaired point."""
-        first = self._low[self.d if low_max is None else low_max]
-        pool = sum(i * len(members) for i, members in first)
+        if low_max is None:
+            first, pool = self._red, self.points_red
+        else:
+            first = self._low[low_max]
+            pool = sum([i * len(members) for i, members in first])
         if pool == 0:
             return None
         return self._expose_from(rng, _draw(rng, pool, first), color_on_hit)
@@ -384,10 +402,8 @@ class PairingState:
             for j, u in enumerate(self.white_cls[i]):
                 assert not self.is_red[u] and self.free[u] == i and pos[u] == j
         assert len(self.edges) == 2 * self.steps
-        degree = np.bincount(
-            np.asarray(self.edges, dtype=np.int64), minlength=self.n
-        )
-        assert np.array_equal(degree, self.d - np.asarray(self.free))
+        degree = np.bincount(_view(self.edges), minlength=self.n)
+        assert np.array_equal(degree, self.d - _view(self.free))
 
 
 def run_alg2(n: int, d: int, seed=None, *, stop_after_steps: int | None = None
@@ -434,14 +450,20 @@ def run_alg2(n: int, d: int, seed=None, *, stop_after_steps: int | None = None
     return st, trace
 
 
+def _view(buf: array) -> np.ndarray:
+    """A numpy view of a typed buffer, sharing its memory."""
+    return np.frombuffer(buf, dtype=buf.typecode)
+
+
 def _boundary_reader(st: PairingState):
     """The boundary of a half of st as it stands: a function from in_half
     (in_half[u] == 1 for the half's vertices) to the mask of the half's
     vertices that have an unpaired point or an exposed edge to a vertex
-    outside it. The edge log and free counts become arrays once, however
-    many halves are read."""
-    pairs = np.asarray(st.edges, dtype=np.int64).reshape(-1, 2)
-    has_open = np.asarray(st.free) > 0
+    outside it. The edge log is read in place, and the free counts are
+    compared once, however many halves are read; while the reader lives
+    the edge log cannot grow (numpy holds its buffer)."""
+    pairs = _view(st.edges).reshape(-1, 2)
+    has_open = _view(st.free) > 0
 
     def boundary(in_half: bytearray) -> np.ndarray:
         half = np.frombuffer(in_half, dtype=np.uint8).astype(bool)

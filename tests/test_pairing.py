@@ -4,6 +4,7 @@ with the fluid limit."""
 
 import hashlib
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,33 @@ def test_fresh_state_counts():
     assert st.points_white == 30
     assert st.points_red == 0
     assert len(st.white_cls[3]) == 10
+
+
+def test_degree_above_a_byte_simulates():
+    """The unpaired-point counts are as wide as d needs: a degree past 255
+    runs both stages without wrapping them."""
+    st, _ = run_alg2(302, 300, seed=3)
+    alpha, _ = run_alg3(st, seed=4)
+    st.check_invariants()
+    assert 0.0 < alpha <= 1.0
+    assert max(st.free) <= 300 and sum(st.free) == 302 * 300 - 2 * st.steps
+
+
+def test_state_memory_stays_small():
+    """Positions, unpaired-point counts and the edge log are typed buffers:
+    a stage-one state holds about 55 bytes a vertex, where lists of Python
+    ints held about 97. The bound is 7 MiB per 1e5 vertices; n is kept
+    small because tracemalloc slows the run some thirtyfold."""
+    n = 10_000
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        st, trace = run_alg2(n, 4, seed=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert st.size_red >= n // 2 and trace.flags == []
+    assert held < 7 * 2**20 * n / 100_000
 
 
 def test_every_step_pairs_two_points():
